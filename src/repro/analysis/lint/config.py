@@ -166,6 +166,7 @@ def default_config() -> LintConfig:
         dict_pairs=(
             DictPair(protocol, "encode_query_stats", results, "decode_query_stats"),
             DictPair(protocol, "encode_batch_stats", results, "decode_batch_stats"),
+            DictPair(protocol, "encode_legs", results, "decode_legs"),
             DictPair(protocol, "encode_journey", results, "decode_journey", envelope_vk),
             DictPair(protocol, "encode_profile", results, "decode_profile", envelope_vk),
             DictPair(protocol, "encode_batch", results, "decode_batch", envelope_vk),

@@ -75,6 +75,7 @@ from repro.core import KERNELS
 from repro.graph import build_td_graph
 from repro.query import BATCH_BACKENDS
 from repro.service import (
+    DEFAULT_MAX_TRANSFERS,
     BatchRequest,
     ProfileRequest,
     ServiceConfig,
@@ -1254,8 +1255,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(p_mc, allow_store=True, allow_remote=True)
     _add_shape_flags(p_mc)
     p_mc.add_argument(
-        "--max-transfers", type=int, default=5,
-        help="transfer budget bounding the front (default: 5)",
+        "--max-transfers", type=int, default=DEFAULT_MAX_TRANSFERS,
+        help="transfer budget bounding the front (default: %(default)s)",
     )
     p_mc.set_defaults(func=_cmd_multicriteria)
 
@@ -1278,8 +1279,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(p_mt, allow_store=True, allow_remote=True)
     _add_shape_flags(p_mt)
     p_mt.add_argument(
-        "--max-transfers", type=int, default=5,
-        help="transfer budget (default: 5)",
+        "--max-transfers", type=int, default=DEFAULT_MAX_TRANSFERS,
+        help="transfer budget (default: %(default)s)",
     )
     p_mt.set_defaults(func=_cmd_min_transfers)
 

@@ -47,10 +47,12 @@ from repro.client.results import (
     DatasetInfo,
     DelayUpdate,
     JourneyAnswer,
-    MinTransfersAnswer,
-    MulticriteriaAnswer,
     ProfileAnswer,
-    ViaAnswer,
+)
+from repro.service.model import (
+    MinTransfersResult,
+    MulticriteriaResult,
+    ViaResult,
 )
 
 __all__ = [
@@ -71,9 +73,9 @@ __all__ = [
     "JourneyAnswer",
     "ProfileAnswer",
     "BatchAnswer",
-    "MulticriteriaAnswer",
-    "ViaAnswer",
-    "MinTransfersAnswer",
+    "MulticriteriaResult",
+    "ViaResult",
+    "MinTransfersResult",
     "DatasetInfo",
     "DelayUpdate",
 ]

@@ -41,10 +41,7 @@ from repro.client.results import (
     DatasetInfo,
     DelayUpdate,
     JourneyAnswer,
-    MinTransfersAnswer,
-    MulticriteriaAnswer,
     ProfileAnswer,
-    ViaAnswer,
     decode_batch,
     decode_info,
     decode_journey,
@@ -74,9 +71,13 @@ from repro.service.model import (
     BatchRequest,
     JourneyRequest,
     MinTransfersRequest,
+    MinTransfersResult,
     MulticriteriaRequest,
+    MulticriteriaResult,
     ProfileRequest,
     ViaRequest,
+    ViaResult,
+    as_request,
 )
 from repro.timetable.delays import Delay
 
@@ -119,8 +120,8 @@ class TransitBackend(Protocol):
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MulticriteriaAnswer: ...
+        max_transfers: int | None = None,
+    ) -> MulticriteriaResult: ...
 
     def via(
         self,
@@ -129,7 +130,7 @@ class TransitBackend(Protocol):
         target: int | None = None,
         *,
         departure: int | None = None,
-    ) -> ViaAnswer: ...
+    ) -> ViaResult: ...
 
     def min_transfers(
         self,
@@ -137,8 +138,8 @@ class TransitBackend(Protocol):
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MinTransfersAnswer: ...
+        max_transfers: int | None = None,
+    ) -> MinTransfersResult: ...
 
     def iter_batch(
         self, request: BatchRequest | Sequence[tuple[int, int]]
@@ -236,7 +237,7 @@ class LocalBackend:
         targets: Sequence[int] | None = None,
     ) -> ProfileAnswer:
         service = self.service
-        body = wire.profile_body(wire.as_profile_request(request), targets)
+        body = wire.profile_body(as_request(ProfileRequest, request), targets)
         req, wire_targets = self._parse(
             parse_profile_request, body, service.timetable.num_stations
         )
@@ -258,7 +259,9 @@ class LocalBackend:
     ) -> JourneyAnswer:
         service = self.service
         body = wire.journey_body(
-            wire.as_journey_request(request, target, departure)
+            as_request(
+                JourneyRequest, request, target=target, departure=departure
+            )
         )
         req = self._parse(
             parse_journey_request, body, service.timetable.num_stations
@@ -279,7 +282,7 @@ class LocalBackend:
         self, request: BatchRequest | Sequence[tuple[int, int]]
     ) -> BatchAnswer:
         service = self.service
-        body = wire.batch_body(wire.as_batch_request(request))
+        body = wire.batch_body(as_request(BatchRequest, request))
         req = self._parse(
             parse_batch_request, body, service.timetable.num_stations
         )
@@ -296,12 +299,16 @@ class LocalBackend:
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MulticriteriaAnswer:
+        max_transfers: int | None = None,
+    ) -> MulticriteriaResult:
         service = self.service
         body = wire.multicriteria_body(
-            wire.as_multicriteria_request(
-                request, target, departure, max_transfers
+            as_request(
+                MulticriteriaRequest,
+                request,
+                target=target,
+                departure=departure,
+                max_transfers=max_transfers,
             )
         )
         req = self._parse(
@@ -318,10 +325,16 @@ class LocalBackend:
         target: int | None = None,
         *,
         departure: int | None = None,
-    ) -> ViaAnswer:
+    ) -> ViaResult:
         service = self.service
         body = wire.via_body(
-            wire.as_via_request(request, via, target, departure)
+            as_request(
+                ViaRequest,
+                request,
+                via=via,
+                target=target,
+                departure=departure,
+            )
         )
         req = self._parse(
             parse_via_request, body, service.timetable.num_stations
@@ -334,12 +347,16 @@ class LocalBackend:
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MinTransfersAnswer:
+        max_transfers: int | None = None,
+    ) -> MinTransfersResult:
         service = self.service
         body = wire.min_transfers_body(
-            wire.as_min_transfers_request(
-                request, target, departure, max_transfers
+            as_request(
+                MinTransfersRequest,
+                request,
+                target=target,
+                departure=departure,
+                max_transfers=max_transfers,
             )
         )
         req = self._parse(
@@ -357,7 +374,7 @@ class LocalBackend:
         yielded) in submission order, journeys before profiles — the
         same per-item execution on every transport, so answers match
         :class:`HttpBackend.iter_batch` item for item."""
-        req = wire.as_batch_request(request)
+        req = as_request(BatchRequest, request)
         for journey in req.journeys:
             yield self.journey(journey)
         for profile in req.profiles:
@@ -472,10 +489,7 @@ __all__ = [
     "DelayUpdate",
     "JourneyAnswer",
     "LocalBackend",
-    "MinTransfersAnswer",
-    "MulticriteriaAnswer",
     "ProfileAnswer",
     "TransitBackend",
-    "ViaAnswer",
     "connect",
 ]

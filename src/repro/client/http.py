@@ -52,10 +52,7 @@ from repro.client.results import (
     DatasetInfo,
     DelayUpdate,
     JourneyAnswer,
-    MinTransfersAnswer,
-    MulticriteriaAnswer,
     ProfileAnswer,
-    ViaAnswer,
     decode_batch,
     decode_delay_update,
     decode_info,
@@ -70,9 +67,13 @@ from repro.service.model import (
     BatchRequest,
     JourneyRequest,
     MinTransfersRequest,
+    MinTransfersResult,
     MulticriteriaRequest,
+    MulticriteriaResult,
     ProfileRequest,
     ViaRequest,
+    ViaResult,
+    as_request,
 )
 from repro.timetable.delays import Delay
 
@@ -244,7 +245,7 @@ class HttpBackend:
         *,
         targets: Sequence[int] | None = None,
     ) -> ProfileAnswer:
-        body = wire.profile_body(wire.as_profile_request(request), targets)
+        body = wire.profile_body(as_request(ProfileRequest, request), targets)
         return decode_profile(
             self._post(f"/v1/{self.dataset}/profile", body)
         )
@@ -256,9 +257,10 @@ class HttpBackend:
         *,
         departure: int | None = None,
     ) -> JourneyAnswer:
-        body = wire.journey_body(
-            wire.as_journey_request(request, target, departure)
+        req = as_request(
+            JourneyRequest, request, target=target, departure=departure
         )
+        body = wire.journey_body(req)
         return decode_journey(self._post(f"/v1/{self.dataset}/journey", body))
 
     def journey_many(
@@ -272,7 +274,7 @@ class HttpBackend:
     def batch(
         self, request: BatchRequest | Sequence[tuple[int, int]]
     ) -> BatchAnswer:
-        body = wire.batch_body(wire.as_batch_request(request))
+        body = wire.batch_body(as_request(BatchRequest, request))
         return decode_batch(self._post(f"/v1/{self.dataset}/batch", body))
 
     def multicriteria(
@@ -281,13 +283,16 @@ class HttpBackend:
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MulticriteriaAnswer:
-        body = wire.multicriteria_body(
-            wire.as_multicriteria_request(
-                request, target, departure, max_transfers
-            )
+        max_transfers: int | None = None,
+    ) -> MulticriteriaResult:
+        req = as_request(
+            MulticriteriaRequest,
+            request,
+            target=target,
+            departure=departure,
+            max_transfers=max_transfers,
         )
+        body = wire.multicriteria_body(req)
         return decode_multicriteria(
             self._post(f"/v1/{self.dataset}/multicriteria", body)
         )
@@ -299,11 +304,13 @@ class HttpBackend:
         target: int | None = None,
         *,
         departure: int | None = None,
-    ) -> ViaAnswer:
-        body = wire.via_body(
-            wire.as_via_request(request, via, target, departure)
+    ) -> ViaResult:
+        req = as_request(
+            ViaRequest, request, via=via, target=target, departure=departure
         )
-        return decode_via(self._post(f"/v1/{self.dataset}/via", body))
+        return decode_via(
+            self._post(f"/v1/{self.dataset}/via", wire.via_body(req))
+        )
 
     def min_transfers(
         self,
@@ -311,13 +318,16 @@ class HttpBackend:
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MinTransfersAnswer:
-        body = wire.min_transfers_body(
-            wire.as_min_transfers_request(
-                request, target, departure, max_transfers
-            )
+        max_transfers: int | None = None,
+    ) -> MinTransfersResult:
+        req = as_request(
+            MinTransfersRequest,
+            request,
+            target=target,
+            departure=departure,
+            max_transfers=max_transfers,
         )
+        body = wire.min_transfers_body(req)
         return decode_min_transfers(
             self._post(f"/v1/{self.dataset}/min-transfers", body)
         )
@@ -329,7 +339,7 @@ class HttpBackend:
         answer as it arrives (submission order, journeys before
         profiles) — constant client memory however large the batch,
         and first answers arrive before the last query runs."""
-        req = wire.as_batch_request(request)
+        req = as_request(BatchRequest, request)
         for journey in req.journeys:
             yield self.journey(journey)
         for profile in req.profiles:

@@ -9,12 +9,19 @@ both transports, down to the last integer.  That is the other half of
 the bitwise-parity guarantee (requests are unified by
 :mod:`repro.client.wire`).
 
-The per-query accounting reuses the service layer's own types
-(:class:`~repro.service.model.QueryStats`,
-:class:`~repro.service.model.JourneyLeg`,
-:class:`~repro.query.batch.BatchStats`) — only the *profile payloads*
-need a client-side representation, because a wire profile is the
-reduced connection-point list, not the packed
+Answers reuse the service layer's own types wherever the wire carries
+all of them: the zoo shapes decode straight into
+:class:`~repro.service.model.MulticriteriaResult`,
+:class:`~repro.service.model.ViaResult` and
+:class:`~repro.service.model.MinTransfersResult`, and the accounting
+into :class:`~repro.service.model.QueryStats`,
+:class:`~repro.service.model.JourneyLeg` and
+:class:`~repro.query.batch.BatchStats`.  Their wire ``reachable`` is
+checked against the decoded fields, not stored twice.  Only the
+answers with *profile payloads* (:class:`JourneyAnswer`,
+:class:`ProfileAnswer`, :class:`BatchAnswer`) need a client-side
+representation, because a wire profile is the reduced
+connection-point list, not the packed
 :class:`~repro.functions.algebra.Profile` object the facade holds.
 :class:`ConnectionProfile` carries those points with the same
 evaluation semantics (``earliest_arrival`` follows the paper's cyclic
@@ -28,9 +35,17 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from repro.client.errors import TransportError
 from repro.functions.piecewise import INF_TIME
 from repro.query.batch import BatchStats
-from repro.service.model import JourneyLeg, ParetoOption, QueryStats
+from repro.service.model import (
+    JourneyLeg,
+    MinTransfersResult,
+    MulticriteriaResult,
+    ParetoOption,
+    QueryStats,
+    ViaResult,
+)
 from repro.timetable.periodic import DAY_MINUTES
 
 
@@ -170,63 +185,6 @@ class BatchAnswer:
 
 
 @dataclass(frozen=True, slots=True)
-class MulticriteriaAnswer:
-    """A Pareto query answered by a backend (either transport).
-
-    ``options`` is the (transfers, arrival) front in increasing
-    transfer order; ``legs`` the fastest option's itinerary when it is
-    reconstructible within the budget.
-    """
-
-    source: int
-    target: int
-    departure: int
-    max_transfers: int
-    reachable: bool
-    options: tuple[ParetoOption, ...]
-    stats: QueryStats
-    legs: tuple[JourneyLeg, ...] | None = None
-
-    @property
-    def best_arrival(self) -> int:
-        """Earliest arrival over the whole front (INF when empty)."""
-        return self.options[-1].arrival if self.options else INF_TIME
-
-
-@dataclass(frozen=True, slots=True)
-class ViaAnswer:
-    """A via-constrained journey answered by a backend: earliest
-    arrival at ``via``, then onward to ``target``."""
-
-    source: int
-    via: int
-    target: int
-    departure: int
-    via_arrival: int
-    arrival: int
-    reachable: bool
-    stats: QueryStats
-    legs: tuple[JourneyLeg, ...] | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class MinTransfersAnswer:
-    """A transfer-minimizing journey answered by a backend:
-    ``transfers`` is ``None`` when the target is unreachable within
-    the budget (``arrival`` is then INF)."""
-
-    source: int
-    target: int
-    departure: int
-    max_transfers: int
-    reachable: bool
-    transfers: int | None
-    arrival: int
-    stats: QueryStats
-    legs: tuple[JourneyLeg, ...] | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class DatasetInfo:
     """What a backend serves: the ``/v1/datasets`` entry shape."""
 
@@ -289,8 +247,21 @@ def decode_batch_stats(raw: dict) -> BatchStats:
     )
 
 
+def decode_legs(raw: list | None) -> tuple[JourneyLeg, ...] | None:
+    if raw is None:
+        return None
+    return tuple(
+        JourneyLeg(
+            from_station=leg["from_station"],
+            to_station=leg["to_station"],
+            departure=leg["departure"],
+            arrival=leg["arrival"],
+        )
+        for leg in raw
+    )
+
+
 def decode_journey(payload: dict) -> JourneyAnswer:
-    legs = payload.get("legs")
     return JourneyAnswer(
         source=payload["source"],
         target=payload["target"],
@@ -299,17 +270,7 @@ def decode_journey(payload: dict) -> JourneyAnswer:
         stats=decode_query_stats(payload["stats"]),
         departure=payload.get("departure"),
         arrival=payload.get("arrival"),
-        legs=None
-        if legs is None
-        else tuple(
-            JourneyLeg(
-                from_station=leg["from_station"],
-                to_station=leg["to_station"],
-                departure=leg["departure"],
-                arrival=leg["arrival"],
-            )
-            for leg in legs
-        ),
+        legs=decode_legs(payload.get("legs")),
     )
 
 
@@ -332,80 +293,64 @@ def decode_batch(payload: dict) -> BatchAnswer:
     )
 
 
-def decode_multicriteria(payload: dict) -> MulticriteriaAnswer:
-    legs = payload["legs"]
-    return MulticriteriaAnswer(
+def _check_reachable(
+    answer: MulticriteriaResult | ViaResult | MinTransfersResult,
+    reachable: bool,
+) -> None:
+    """Reject an answer whose fields contradict the ``reachable`` the
+    server sent with them."""
+    if answer.reachable != reachable:
+        raise TransportError(
+            "invalid_response",
+            f"{answer.stats.kind} answer says reachable={reachable} but "
+            f"its fields say {answer.reachable}",
+        )
+
+
+def decode_multicriteria(payload: dict) -> MulticriteriaResult:
+    answer = MulticriteriaResult(
         source=payload["source"],
         target=payload["target"],
         departure=payload["departure"],
         max_transfers=payload["max_transfers"],
-        reachable=payload["reachable"],
         options=tuple(
             ParetoOption(int(k), int(arr)) for k, arr in payload["options"]
         ),
         stats=decode_query_stats(payload["stats"]),
-        legs=None
-        if legs is None
-        else tuple(
-            JourneyLeg(
-                from_station=leg["from_station"],
-                to_station=leg["to_station"],
-                departure=leg["departure"],
-                arrival=leg["arrival"],
-            )
-            for leg in legs
-        ),
+        legs=decode_legs(payload["legs"]),
     )
+    _check_reachable(answer, payload["reachable"])
+    return answer
 
 
-def decode_via(payload: dict) -> ViaAnswer:
-    legs = payload["legs"]
-    return ViaAnswer(
+def decode_via(payload: dict) -> ViaResult:
+    answer = ViaResult(
         source=payload["source"],
         via=payload["via"],
         target=payload["target"],
         departure=payload["departure"],
         via_arrival=payload["via_arrival"],
         arrival=payload["arrival"],
-        reachable=payload["reachable"],
         stats=decode_query_stats(payload["stats"]),
-        legs=None
-        if legs is None
-        else tuple(
-            JourneyLeg(
-                from_station=leg["from_station"],
-                to_station=leg["to_station"],
-                departure=leg["departure"],
-                arrival=leg["arrival"],
-            )
-            for leg in legs
-        ),
+        legs=decode_legs(payload["legs"]),
     )
+    _check_reachable(answer, payload["reachable"])
+    return answer
 
 
-def decode_min_transfers(payload: dict) -> MinTransfersAnswer:
-    legs = payload["legs"]
-    return MinTransfersAnswer(
+def decode_min_transfers(payload: dict) -> MinTransfersResult:
+    answer = MinTransfersResult(
         source=payload["source"],
         target=payload["target"],
         departure=payload["departure"],
         max_transfers=payload["max_transfers"],
-        reachable=payload["reachable"],
         transfers=payload["transfers"],
         arrival=payload["arrival"],
         stats=decode_query_stats(payload["stats"]),
-        legs=None
-        if legs is None
-        else tuple(
-            JourneyLeg(
-                from_station=leg["from_station"],
-                to_station=leg["to_station"],
-                departure=leg["departure"],
-                arrival=leg["arrival"],
-            )
-            for leg in legs
-        ),
+        legs=decode_legs(payload["legs"]),
     )
+    _check_reachable(answer, payload["reachable"])
+    return answer
 
 
 def decode_info(raw: dict) -> DatasetInfo:

@@ -14,9 +14,10 @@ Optional fields are *omitted* rather than sent as ``null``: the wire
 schema's strict validation rejects ``None`` where an integer is
 expected, and omission is the protocol's way of saying "default".
 
-Also here: normalization of the convenience call forms every backend
-accepts (raw station ints, raw (source, target) pairs) into the typed
-requests, shared so the sugar behaves identically across transports.
+The convenience call forms every backend accepts (raw station ints,
+raw (source, target) pairs) become typed requests through the service
+layer's own :func:`~repro.service.model.as_request`, so the sugar
+behaves identically on every transport and in the facade.
 """
 
 from __future__ import annotations
@@ -32,90 +33,6 @@ from repro.service.model import (
     ViaRequest,
 )
 from repro.timetable.delays import Delay
-
-
-# ---------------------------------------------------------------------------
-# Normalization of convenience forms
-# ---------------------------------------------------------------------------
-
-
-def as_profile_request(request: ProfileRequest | int) -> ProfileRequest:
-    if isinstance(request, ProfileRequest):
-        return request
-    return ProfileRequest(request)
-
-
-def as_journey_request(
-    request: JourneyRequest | int,
-    target: int | None = None,
-    departure: int | None = None,
-) -> JourneyRequest:
-    if isinstance(request, JourneyRequest):
-        return request
-    if target is None:
-        raise TypeError("journey(source, target) needs a target")
-    return JourneyRequest(request, target, departure)
-
-
-def as_batch_request(
-    request: BatchRequest | Sequence[tuple[int, int]],
-) -> BatchRequest:
-    if isinstance(request, BatchRequest):
-        return request
-    return BatchRequest.from_pairs(request)
-
-
-def as_multicriteria_request(
-    request: MulticriteriaRequest | int,
-    target: int | None = None,
-    departure: int | None = None,
-    max_transfers: int = 5,
-) -> MulticriteriaRequest:
-    if isinstance(request, MulticriteriaRequest):
-        return request
-    if target is None or departure is None:
-        raise TypeError(
-            "multicriteria(source, target, departure=...) needs a target "
-            "and a departure"
-        )
-    return MulticriteriaRequest(request, target, departure, max_transfers)
-
-
-def as_via_request(
-    request: ViaRequest | int,
-    via: int | None = None,
-    target: int | None = None,
-    departure: int | None = None,
-) -> ViaRequest:
-    if isinstance(request, ViaRequest):
-        return request
-    if via is None or target is None or departure is None:
-        raise TypeError(
-            "via(source, via, target, departure=...) needs a via, a "
-            "target and a departure"
-        )
-    return ViaRequest(request, via, target, departure)
-
-
-def as_min_transfers_request(
-    request: MinTransfersRequest | int,
-    target: int | None = None,
-    departure: int | None = None,
-    max_transfers: int = 5,
-) -> MinTransfersRequest:
-    if isinstance(request, MinTransfersRequest):
-        return request
-    if target is None or departure is None:
-        raise TypeError(
-            "min_transfers(source, target, departure=...) needs a target "
-            "and a departure"
-        )
-    return MinTransfersRequest(request, target, departure, max_transfers)
-
-
-# ---------------------------------------------------------------------------
-# Wire rendering
-# ---------------------------------------------------------------------------
 
 
 def profile_body(

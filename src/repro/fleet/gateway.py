@@ -53,18 +53,9 @@ from repro.fleet.catchup import coalesce_delay_log
 from repro.fleet.metrics import GatewayMetrics
 from repro.fleet.swap import FleetSwapCoordinator
 from repro.server.http_base import BaseAsyncHttpServer
-from repro.server.protocol import PROTOCOL_VERSION
+from repro.server.protocol import PROTOCOL_VERSION, QUERY_SHAPES
 
 __all__ = ["FleetGateway", "WorkerState"]
-
-_QUERY_SHAPES = (
-    "profile",
-    "journey",
-    "batch",
-    "multicriteria",
-    "via",
-    "min-transfers",
-)
 
 #: A forward failure with one of these is a dead/unreachable worker:
 #: eject immediately and fail the query over to a peer.
@@ -291,7 +282,7 @@ class FleetGateway(BaseAsyncHttpServer):
             if len(parts) == 2:
                 return "GET /v1/datasets"
             return "POST /v1/datasets/{name}/delays"
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in _QUERY_SHAPES:
+        if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
             return f"POST /v1/{{name}}/{parts[2]}"
         return f"{method} <unmatched>"
 
@@ -339,7 +330,7 @@ class FleetGateway(BaseAsyncHttpServer):
                 )
             return await self._handle_delays(parts[2], body, endpoint)
 
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in _QUERY_SHAPES:
+        if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
             if method != "POST":
                 return 405, _error(
                     "method_not_allowed", f"use POST, not {method}"

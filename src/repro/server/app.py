@@ -52,6 +52,7 @@ from repro.server.http_base import MAX_BODY_BYTES, BaseAsyncHttpServer
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     PROTOCOL_VERSION,
+    QUERY_SHAPES,
     DelayCommand,
     ProtocolError,
     encode_batch,
@@ -71,15 +72,6 @@ from repro.server.protocol import (
 from repro.server.registry import DatasetRegistry, RegistryError, SwapStateError
 
 __all__ = ["MAX_BODY_BYTES", "TransitServer"]
-
-_QUERY_SHAPES = (
-    "profile",
-    "journey",
-    "batch",
-    "multicriteria",
-    "via",
-    "min-transfers",
-)
 
 
 class TransitServer(BaseAsyncHttpServer):
@@ -194,7 +186,7 @@ class TransitServer(BaseAsyncHttpServer):
             if len(parts) == 2:
                 return "GET /v1/datasets"
             return "POST /v1/datasets/{name}/delays"
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in _QUERY_SHAPES:
+        if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
             return f"POST /v1/{{name}}/{parts[2]}"
         return f"{method} <unmatched>"
 
@@ -240,7 +232,7 @@ class TransitServer(BaseAsyncHttpServer):
             _require_method(method, "POST")
             return await self._handle_delays(parts[2], body, endpoint)
 
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in _QUERY_SHAPES:
+        if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
             _require_method(method, "POST")
             return await self._handle_query(parts[1], parts[2], body, endpoint)
 

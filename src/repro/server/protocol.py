@@ -6,20 +6,27 @@ omit it and get the current version, an explicit mismatch is
 rejected).  Request objects map one-to-one onto the service layer's
 typed requests:
 
-===============================  =========================================
-wire object                      service request
-===============================  =========================================
-``{"source"}``                   :class:`~repro.service.model.ProfileRequest`
-``{"source", "target"}``         :class:`~repro.service.model.JourneyRequest`
-``{"journeys", "profiles"}``     :class:`~repro.service.model.BatchRequest`
-``{"source", "target",           :class:`~repro.service.model.MulticriteriaRequest`
-"departure"}``
-``{"source", "via", "target",    :class:`~repro.service.model.ViaRequest`
-"departure"}``
-``{"source", "target",           :class:`~repro.service.model.MinTransfersRequest`
-"departure", "max_transfers"}``
-``{"delays"}``                   ``TransitService.apply_delays`` input
-===============================  =========================================
+======================  ===============================================
+endpoint                service request
+======================  ===============================================
+``profile``             :class:`~repro.service.model.ProfileRequest`,
+                        plus ``targets`` (which profiles to encode)
+``journey``             :class:`~repro.service.model.JourneyRequest`
+``batch``               :class:`~repro.service.model.BatchRequest`: lists
+                        of journey and profile objects without ``v``
+``multicriteria``       :class:`~repro.service.model.MulticriteriaRequest`
+``via``                 :class:`~repro.service.model.ViaRequest`
+``min-transfers``       :class:`~repro.service.model.MinTransfersRequest`
+``datasets/…/delays``   ``TransitService.apply_delays`` input
+======================  ===============================================
+
+A flat request object carries exactly its dataclass's fields: the
+dataclass declares their names, order, required-ness and defaults, and
+one parser (:func:`_parse_fields`) reads them, taking each field's
+bounds from :data:`_FIELD_BOUNDS` by name.  The ``_*_FIELDS`` sets
+spell out each endpoint's allowed fields again on purpose: they guard
+untrusted input, and the ``WIRE-PARITY`` lint checks the client's
+renderers against them.
 
 Validation is strict: unknown fields, wrong types, and out-of-range
 stations/trains are rejected with a typed :class:`ProtocolError`
@@ -40,13 +47,15 @@ usable by the server, by clients, and by tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
+from typing import Sequence, TypeVar
 
 from repro.query.batch import BatchStats
 from repro.service.model import (
     BatchRequest,
     BatchResponse,
+    JourneyLeg,
     JourneyRequest,
     JourneyResult,
     MinTransfersRequest,
@@ -73,6 +82,18 @@ MAX_NUM_THREADS = 64
 #: volume scales linearly with ``max_transfers + 1`` layers, so an
 #: unauthenticated request must not be able to ask for thousands.
 MAX_MC_TRANSFERS = 16
+
+#: The ``POST /v1/{name}/<shape>`` query endpoints.
+QUERY_SHAPES = (
+    "profile",
+    "journey",
+    "batch",
+    "multicriteria",
+    "via",
+    "min-transfers",
+)
+
+RequestT = TypeVar("RequestT")
 
 
 class ProtocolError(Exception):
@@ -182,12 +203,66 @@ def _int_field(
     return value
 
 
-def _station_field(
-    obj: dict, name: str, num_stations: int, *, where: str, required: bool = True
-) -> int | None:
-    return _int_field(
-        obj, name, where=where, required=required, lo=0, hi=num_stations
+#: Stands for the dataset's station count in :data:`_FIELD_BOUNDS`.
+_STATIONS = -1
+
+#: Bounds ``(lo, hi)`` of every request-dataclass field by name, ``hi``
+#: exclusive (``None``: unbounded).  Which fields a shape has, in which
+#: order, and which are required with what default, comes from the
+#: service dataclass itself (:func:`_parse_fields`).
+_FIELD_BOUNDS: dict[str, tuple[int, int | None]] = {
+    "source": (0, _STATIONS),
+    "via": (0, _STATIONS),
+    "target": (0, _STATIONS),
+    "departure": (0, None),
+    "max_transfers": (0, MAX_MC_TRANSFERS + 1),
+    "num_threads": (1, MAX_NUM_THREADS + 1),
+}
+
+@cache
+def _field_specs(cls: type) -> tuple[tuple[str, bool, object], ...]:
+    """``(name, required, default)`` of each field of a request
+    dataclass, in declaration order."""
+    return tuple(
+        (f.name, f.default is MISSING, f.default) for f in fields(cls)
     )
+
+
+def _parse_fields(
+    cls: type[RequestT], obj: dict, num_stations: int, *, where: str
+) -> RequestT:
+    """Build a ``cls`` request from the wire object ``obj``, checking
+    its fields in declaration order (so the first bad field is the one
+    an error names)."""
+    values = []
+    for name, required, default in _field_specs(cls):
+        lo, hi = _FIELD_BOUNDS[name]
+        values.append(
+            _int_field(
+                obj,
+                name,
+                where=where,
+                required=required,
+                default=default,
+                lo=lo,
+                hi=num_stations if hi == _STATIONS else hi,
+            )
+        )
+    return cls(*values)
+
+
+def _parse_flat(
+    cls: type[RequestT],
+    body: object,
+    num_stations: int,
+    allowed: frozenset[str],
+    where: str,
+) -> RequestT:
+    """Parse a request body that is one flat ``cls`` object."""
+    obj = _require_object(body)
+    _check_version(obj)
+    _reject_unknown(obj, allowed, where=f"{where} request")
+    return _parse_fields(cls, obj, num_stations, where=where)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +310,8 @@ def parse_profile_request(
     stations the response encodes profiles for (the search itself is
     always one-to-all)."""
     obj = _require_object(body)
-    _check_version(obj)
-    _reject_unknown(obj, _PROFILE_FIELDS, where="profile request")
-    source = _station_field(obj, "source", num_stations, where="profile")
-    num_threads = _int_field(
-        obj, "num_threads", where="profile", lo=1, hi=MAX_NUM_THREADS + 1
+    request = _parse_flat(
+        ProfileRequest, obj, num_stations, _PROFILE_FIELDS, "profile"
     )
     targets: tuple[int, ...] | None = None
     if "targets" in obj:
@@ -267,75 +339,46 @@ def parse_profile_request(
                 )
             checked.append(t)
         targets = tuple(checked)
-    return ProfileRequest(source, num_threads=num_threads), targets
+    return request, targets
 
 
 def parse_journey_request(body: object, num_stations: int) -> JourneyRequest:
-    obj = _require_object(body)
-    _check_version(obj)
-    _reject_unknown(obj, _JOURNEY_FIELDS, where="journey request")
-    source = _station_field(obj, "source", num_stations, where="journey")
-    target = _station_field(obj, "target", num_stations, where="journey")
-    departure = _int_field(obj, "departure", where="journey", lo=0)
-    return JourneyRequest(source, target, departure)
+    return _parse_flat(
+        JourneyRequest, body, num_stations, _JOURNEY_FIELDS, "journey"
+    )
 
 
 def parse_batch_request(body: object, num_stations: int) -> BatchRequest:
     obj = _require_object(body)
     _check_version(obj)
     _reject_unknown(obj, _BATCH_FIELDS, where="batch request")
-    journeys: list[JourneyRequest] = []
-    profiles: list[ProfileRequest] = []
-    for i, item in enumerate(_item_list(obj, "journeys")):
-        sub = _require_object(item, what=f"batch.journeys[{i}]")
-        _reject_unknown(
-            sub,
-            _JOURNEY_FIELDS - {"v"},
-            where=f"batch.journeys[{i}]",
-        )
-        journeys.append(
-            JourneyRequest(
-                _station_field(
-                    sub, "source", num_stations, where=f"batch.journeys[{i}]"
-                ),
-                _station_field(
-                    sub, "target", num_stations, where=f"batch.journeys[{i}]"
-                ),
-                _int_field(
-                    sub, "departure", where=f"batch.journeys[{i}]", lo=0
-                ),
-            )
-        )
-    for i, item in enumerate(_item_list(obj, "profiles")):
-        sub = _require_object(item, what=f"batch.profiles[{i}]")
-        _reject_unknown(
-            sub,
-            frozenset({"source", "num_threads"}),
-            where=f"batch.profiles[{i}]",
-        )
-        profiles.append(
-            ProfileRequest(
-                _station_field(
-                    sub, "source", num_stations, where=f"batch.profiles[{i}]"
-                ),
-                num_threads=_int_field(
-                    sub,
-                    "num_threads",
-                    where=f"batch.profiles[{i}]",
-                    lo=1,
-                    hi=MAX_NUM_THREADS + 1,
-                ),
-            )
-        )
+    journeys = _parse_items(
+        obj, "journeys", JourneyRequest, _JOURNEY_FIELDS - {"v"}, num_stations
+    )
+    profiles = _parse_items(
+        obj,
+        "profiles",
+        ProfileRequest,
+        _PROFILE_FIELDS - {"v", "targets"},
+        num_stations,
+    )
     if not journeys and not profiles:
         raise ProtocolError(
             "invalid_request",
             "batch request needs at least one journey or profile",
         )
-    return BatchRequest(journeys=tuple(journeys), profiles=tuple(profiles))
+    return BatchRequest(journeys=journeys, profiles=profiles)
 
 
-def _item_list(obj: dict, name: str) -> list:
+def _parse_items(
+    obj: dict,
+    name: str,
+    cls: type[RequestT],
+    allowed: frozenset[str],
+    num_stations: int,
+) -> tuple[RequestT, ...]:
+    """The ``cls`` items of the batch list ``name``, each a flat
+    object with the ``allowed`` fields."""
     raw = obj.get(name, [])
     if not isinstance(raw, list):
         raise ProtocolError(
@@ -343,62 +386,41 @@ def _item_list(obj: dict, name: str) -> list:
             f"batch.{name} must be a list, got {type(raw).__name__}",
             field=name,
         )
-    return raw
+    items = []
+    for i, item in enumerate(raw):
+        where = f"batch.{name}[{i}]"
+        sub = _require_object(item, what=where)
+        _reject_unknown(sub, allowed, where=where)
+        items.append(_parse_fields(cls, sub, num_stations, where=where))
+    return tuple(items)
 
 
 def parse_multicriteria_request(
     body: object, num_stations: int
 ) -> MulticriteriaRequest:
-    obj = _require_object(body)
-    _check_version(obj)
-    _reject_unknown(obj, _MULTICRITERIA_FIELDS, where="multicriteria request")
-    source = _station_field(obj, "source", num_stations, where="multicriteria")
-    target = _station_field(obj, "target", num_stations, where="multicriteria")
-    departure = _int_field(
-        obj, "departure", where="multicriteria", required=True, lo=0
+    return _parse_flat(
+        MulticriteriaRequest,
+        body,
+        num_stations,
+        _MULTICRITERIA_FIELDS,
+        "multicriteria",
     )
-    max_transfers = _int_field(
-        obj,
-        "max_transfers",
-        where="multicriteria",
-        default=5,
-        lo=0,
-        hi=MAX_MC_TRANSFERS + 1,
-    )
-    return MulticriteriaRequest(source, target, departure, max_transfers)
 
 
 def parse_via_request(body: object, num_stations: int) -> ViaRequest:
-    obj = _require_object(body)
-    _check_version(obj)
-    _reject_unknown(obj, _VIA_FIELDS, where="via request")
-    source = _station_field(obj, "source", num_stations, where="via")
-    via = _station_field(obj, "via", num_stations, where="via")
-    target = _station_field(obj, "target", num_stations, where="via")
-    departure = _int_field(obj, "departure", where="via", required=True, lo=0)
-    return ViaRequest(source, via, target, departure)
+    return _parse_flat(ViaRequest, body, num_stations, _VIA_FIELDS, "via")
 
 
 def parse_min_transfers_request(
     body: object, num_stations: int
 ) -> MinTransfersRequest:
-    obj = _require_object(body)
-    _check_version(obj)
-    _reject_unknown(obj, _MIN_TRANSFERS_FIELDS, where="min-transfers request")
-    source = _station_field(obj, "source", num_stations, where="min-transfers")
-    target = _station_field(obj, "target", num_stations, where="min-transfers")
-    departure = _int_field(
-        obj, "departure", where="min-transfers", required=True, lo=0
+    return _parse_flat(
+        MinTransfersRequest,
+        body,
+        num_stations,
+        _MIN_TRANSFERS_FIELDS,
+        "min-transfers",
     )
-    max_transfers = _int_field(
-        obj,
-        "max_transfers",
-        where="min-transfers",
-        default=5,
-        lo=0,
-        hi=MAX_MC_TRANSFERS + 1,
-    )
-    return MinTransfersRequest(source, target, departure, max_transfers)
 
 
 @dataclass(frozen=True, slots=True)
@@ -523,6 +545,22 @@ def _points(profile) -> list[list[int]]:
     return [[int(dep), int(dur)] for dep, dur in profile.connection_points()]
 
 
+def encode_legs(legs: Sequence[JourneyLeg] | None) -> list[dict] | None:
+    """The itinerary every journey-like answer carries (``None`` when
+    there is none)."""
+    if legs is None:
+        return None
+    return [
+        {
+            "from_station": leg.from_station,
+            "to_station": leg.to_station,
+            "departure": leg.departure,
+            "arrival": leg.arrival,
+        }
+        for leg in legs
+    ]
+
+
 def encode_query_stats(stats: QueryStats) -> dict:
     return {
         "kind": stats.kind,
@@ -550,17 +588,6 @@ def encode_batch_stats(stats: BatchStats) -> dict:
 
 
 def encode_journey(result: JourneyResult) -> dict:
-    legs = None
-    if result.legs is not None:
-        legs = [
-            {
-                "from_station": leg.from_station,
-                "to_station": leg.to_station,
-                "departure": leg.departure,
-                "arrival": leg.arrival,
-            }
-            for leg in result.legs
-        ]
     return {
         "v": PROTOCOL_VERSION,
         "kind": "journey",
@@ -570,7 +597,7 @@ def encode_journey(result: JourneyResult) -> dict:
         "profile": _points(result.profile),
         "departure": result.departure,
         "arrival": None if result.arrival is None else int(result.arrival),
-        "legs": legs,
+        "legs": encode_legs(result.legs),
         "stats": encode_query_stats(result.stats),
     }
 
@@ -612,17 +639,6 @@ def encode_batch(response: BatchResponse, *, num_stations: int) -> dict:
 
 
 def encode_multicriteria(result: MulticriteriaResult) -> dict:
-    legs = None
-    if result.legs is not None:
-        legs = [
-            {
-                "from_station": leg.from_station,
-                "to_station": leg.to_station,
-                "departure": leg.departure,
-                "arrival": leg.arrival,
-            }
-            for leg in result.legs
-        ]
     return {
         "v": PROTOCOL_VERSION,
         "kind": "multicriteria",
@@ -634,23 +650,12 @@ def encode_multicriteria(result: MulticriteriaResult) -> dict:
         "options": [
             [int(opt.transfers), int(opt.arrival)] for opt in result.options
         ],
-        "legs": legs,
+        "legs": encode_legs(result.legs),
         "stats": encode_query_stats(result.stats),
     }
 
 
 def encode_via(result: ViaResult) -> dict:
-    legs = None
-    if result.legs is not None:
-        legs = [
-            {
-                "from_station": leg.from_station,
-                "to_station": leg.to_station,
-                "departure": leg.departure,
-                "arrival": leg.arrival,
-            }
-            for leg in result.legs
-        ]
     return {
         "v": PROTOCOL_VERSION,
         "kind": "via",
@@ -661,23 +666,12 @@ def encode_via(result: ViaResult) -> dict:
         "via_arrival": int(result.via_arrival),
         "arrival": int(result.arrival),
         "reachable": result.reachable,
-        "legs": legs,
+        "legs": encode_legs(result.legs),
         "stats": encode_query_stats(result.stats),
     }
 
 
 def encode_min_transfers(result: MinTransfersResult) -> dict:
-    legs = None
-    if result.legs is not None:
-        legs = [
-            {
-                "from_station": leg.from_station,
-                "to_station": leg.to_station,
-                "departure": leg.departure,
-                "arrival": leg.arrival,
-            }
-            for leg in result.legs
-        ]
     return {
         "v": PROTOCOL_VERSION,
         "kind": "min_transfers",
@@ -690,6 +684,6 @@ def encode_min_transfers(result: MinTransfersResult) -> dict:
             None if result.transfers is None else int(result.transfers)
         ),
         "arrival": int(result.arrival),
-        "legs": legs,
+        "legs": encode_legs(result.legs),
         "stats": encode_query_stats(result.stats),
     }

@@ -30,6 +30,7 @@ from repro.service.config import (
 from repro.service.facade import TransitService
 from repro.service.journeys import reconstruct_legs
 from repro.service.model import (
+    DEFAULT_MAX_TRANSFERS,
     BatchRequest,
     BatchResponse,
     JourneyLeg,
@@ -45,6 +46,7 @@ from repro.service.model import (
     QueryStats,
     ViaRequest,
     ViaResult,
+    as_request,
 )
 from repro.service.prepare import (
     PreparedDataset,
@@ -60,6 +62,8 @@ __all__ = [
     "LRUResultCache",
     "TransitService",
     "reconstruct_legs",
+    "DEFAULT_MAX_TRANSFERS",
+    "as_request",
     "BatchRequest",
     "BatchResponse",
     "JourneyLeg",

@@ -69,6 +69,7 @@ from repro.service.model import (
     QueryStats,
     ViaRequest,
     ViaResult,
+    as_request,
 )
 from repro.service.prepare import (
     PreparedDataset,
@@ -260,9 +261,7 @@ class TransitService:
         self, request: ProfileRequest | int, /
     ) -> ProfileResult:
         """Answer a :class:`ProfileRequest` (or a raw source station)."""
-        req = (
-            ProfileRequest(request) if isinstance(request, int) else request
-        )
+        req = as_request(ProfileRequest, request)
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -306,12 +305,9 @@ class TransitService:
         departure: int | None = None,
     ) -> JourneyResult:
         """Answer a :class:`JourneyRequest` (or raw source/target)."""
-        if isinstance(request, JourneyRequest):
-            req = request
-        else:
-            if target is None:
-                raise TypeError("journey(source, target) needs a target")
-            req = JourneyRequest(request, target, departure)
+        req = as_request(
+            JourneyRequest, request, target=target, departure=departure
+        )
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -360,8 +356,7 @@ class TransitService:
     ) -> BatchResponse:
         """Answer a :class:`BatchRequest` (or raw (source, target)
         pairs) on the configured pool backend."""
-        if not isinstance(request, BatchRequest):
-            request = BatchRequest.from_pairs(request)
+        request = as_request(BatchRequest, request)
         cached = self._result_cache.get(request)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -416,19 +411,17 @@ class TransitService:
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
+        max_transfers: int | None = None,
     ) -> MulticriteriaResult:
         """Answer a :class:`MulticriteriaRequest` (or raw arguments):
         the Pareto front of (transfers, arrival) trade-offs (§6)."""
-        if isinstance(request, MulticriteriaRequest):
-            req = request
-        else:
-            if target is None or departure is None:
-                raise TypeError(
-                    "multicriteria(source, target, departure=...) needs "
-                    "a target and a departure"
-                )
-            req = MulticriteriaRequest(request, target, departure, max_transfers)
+        req = as_request(
+            MulticriteriaRequest,
+            request,
+            target=target,
+            departure=departure,
+            max_transfers=max_transfers,
+        )
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -475,15 +468,9 @@ class TransitService:
         construction those of the two chained station-to-station
         queries the parity oracle runs.
         """
-        if isinstance(request, ViaRequest):
-            req = request
-        else:
-            if via is None or target is None or departure is None:
-                raise TypeError(
-                    "via(source, via, target, departure=...) needs a "
-                    "via, a target and a departure"
-                )
-            req = ViaRequest(request, via, target, departure)
+        req = as_request(
+            ViaRequest, request, via=via, target=target, departure=departure
+        )
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -543,20 +530,18 @@ class TransitService:
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
+        max_transfers: int | None = None,
     ) -> MinTransfersResult:
         """Answer a :class:`MinTransfersRequest` (or raw arguments):
         the fewest-transfers journey within the budget — the first
         entry of the Pareto front."""
-        if isinstance(request, MinTransfersRequest):
-            req = request
-        else:
-            if target is None or departure is None:
-                raise TypeError(
-                    "min_transfers(source, target, departure=...) needs "
-                    "a target and a departure"
-                )
-            req = MinTransfersRequest(request, target, departure, max_transfers)
+        req = as_request(
+            MinTransfersRequest,
+            request,
+            target=target,
+            departure=departure,
+            max_transfers=max_transfers,
+        )
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)

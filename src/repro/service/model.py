@@ -22,8 +22,9 @@ request                      engine path
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
+from typing import Sequence, TypeVar
 
 from repro.core.parallel import ParallelProfileResult
 from repro.functions.algebra import Profile
@@ -34,6 +35,11 @@ from repro.query.batch import BatchStats
 # ---------------------------------------------------------------------------
 # Requests
 # ---------------------------------------------------------------------------
+
+#: Transfer budget of the multicriteria and min-transfers shapes when
+#: a request names none.
+DEFAULT_MAX_TRANSFERS = 5
+
 
 @dataclass(frozen=True, slots=True)
 class ProfileRequest:
@@ -104,7 +110,7 @@ class MulticriteriaRequest:
     source: int
     target: int
     departure: int
-    max_transfers: int = 5
+    max_transfers: int = DEFAULT_MAX_TRANSFERS
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,7 +137,42 @@ class MinTransfersRequest:
     source: int
     target: int
     departure: int
-    max_transfers: int = 5
+    max_transfers: int = DEFAULT_MAX_TRANSFERS
+
+
+RequestT = TypeVar("RequestT")
+
+
+@cache
+def _required_after_first(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls)[1:] if f.default is MISSING)
+
+
+def as_request(cls: type[RequestT], request, **raw) -> RequestT:
+    """The ``cls`` request a call names, in either of its two forms.
+
+    A ``cls`` instance comes back as the very same object.  Otherwise
+    ``request`` is the first field (the source station) and ``raw``
+    the other fields by name, where ``None`` means "not given": the
+    dataclass default applies, and a required field left out raises
+    ``TypeError``.  So does a raw argument next to a typed request,
+    which would otherwise be dropped.  ``BatchRequest`` takes raw
+    ``(source, target)`` pairs instead.
+    """
+    given = {name: value for name, value in raw.items() if value is not None}
+    if isinstance(request, cls):
+        if given:
+            raise TypeError(
+                f"got a {cls.__name__} and raw arguments {sorted(given)}: "
+                f"pass one or the other"
+            )
+        return request
+    if cls is BatchRequest:
+        return BatchRequest.from_pairs(request)
+    missing = [n for n in _required_after_first(cls) if n not in given]
+    if missing:
+        raise TypeError(f"{cls.__name__} needs {', '.join(missing)}")
+    return cls(request, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +287,7 @@ class ParetoOption:
     arrival: int
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MulticriteriaResult:
     """Answer to a :class:`MulticriteriaRequest`.
 
@@ -276,7 +317,7 @@ class MulticriteriaResult:
         return self.options[-1].arrival if self.options else INF_TIME
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ViaResult:
     """Answer to a :class:`ViaRequest`.
 
@@ -301,7 +342,7 @@ class ViaResult:
         return self.arrival < INF_TIME
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MinTransfersResult:
     """Answer to a :class:`MinTransfersRequest`.
 
