@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.server import DatasetRegistry
 from repro.service import ServiceConfig, TransitService
 
 from tests.fleet.harness import FleetHarness
+from tests.server.harness import ServerHarness
 
 #: Same recipe as the server suite: flat kernel + distance table, so
 #: fleet answers exercise the pruned query paths — and so a direct
@@ -53,3 +55,20 @@ def make_fleet(fleet_store, tmp_path):
     yield _make
     for fleet in fleets:
         fleet.close()
+
+
+@pytest.fixture(scope="module", params=["server", "gateway"])
+def front(request, fleet_store, tmp_path_factory):
+    """Each HTTP front over the ``oahu`` store: a worker
+    (:class:`TransitServer`) and a one-worker fleet's gateway
+    (:class:`FleetGateway`).  Yields the running front object; its
+    ``port`` takes requests."""
+    if request.param == "server":
+        harness = ServerHarness(DatasetRegistry.from_stores([fleet_store]))
+        yield harness.server
+    else:
+        harness = FleetHarness(
+            [fleet_store], 1, runtime_dir=tmp_path_factory.mktemp("front")
+        )
+        yield harness.gateway
+    harness.close()
