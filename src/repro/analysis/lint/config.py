@@ -221,10 +221,16 @@ def default_config() -> LintConfig:
             ),
         ),
     )
+    # The request metrics both fronts keep live with the HTTP front.
+    front = "src/repro/server/http_base.py"
     metrics = MetricDriftConfig(
         pairs=(
-            MetricDocPair("docs/SERVER.md", ("src/repro/server/metrics.py",)),
-            MetricDocPair("docs/FLEET.md", ("src/repro/fleet/metrics.py",)),
+            MetricDocPair(
+                "docs/SERVER.md", ("src/repro/server/metrics.py", front)
+            ),
+            MetricDocPair(
+                "docs/FLEET.md", ("src/repro/fleet/metrics.py", front)
+            ),
             MetricDocPair("docs/STREAMS.md", ("src/repro/streams/metrics.py",)),
         )
     )

@@ -12,15 +12,18 @@ package scales the serving layer *across processes*:
   one copy of the data), discover their ephemeral ports through
   atomically-written port files, and auto-restart crashes with capped
   backoff;
-* :mod:`repro.fleet.gateway` — an asyncio front process speaking the
-  same wire protocol, load-balancing per dataset over healthy
+* :mod:`repro.fleet.gateway` — an asyncio front process on the same
+  HTTP front as a worker (:mod:`repro.server.http_base`: routes,
+  admission, error envelope, request metrics), load-balancing per
+  dataset over healthy
   workers, health-checking ``/healthz``, ejecting failed workers and
   readmitting restarted ones after delay-log catch-up, failing
   queries over to a peer when a worker dies mid-request, and
   aggregating fleet-wide ``/metrics``;
 * :mod:`repro.fleet.swap` — fleet-wide delay updates through a
   two-phase prepare/commit so no client ever observes a mixed fleet;
-* :mod:`repro.fleet.metrics` — the gateway's routing counters.
+* :mod:`repro.fleet.metrics` — the gateway's routing counters, on top
+  of the front's request counters.
 
 Entry point: ``repro-transit serve-fleet --store DIR --workers N``.
 Clients connect to the gateway exactly as to a single server —

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 
@@ -52,8 +51,8 @@ from repro.client.http import HttpBackend, RetryPolicy
 from repro.fleet.catchup import coalesce_delay_log
 from repro.fleet.metrics import GatewayMetrics
 from repro.fleet.swap import FleetSwapCoordinator
-from repro.server.http_base import BaseAsyncHttpServer
-from repro.server.protocol import PROTOCOL_VERSION, QUERY_SHAPES
+from repro.server.http_base import BaseAsyncHttpServer, Request
+from repro.server.protocol import PROTOCOL_VERSION, ProtocolError, parse_body
 
 __all__ = ["FleetGateway", "WorkerState"]
 
@@ -139,6 +138,8 @@ class FleetGateway(BaseAsyncHttpServer):
     is exactly that callable, which is how restarts propagate.
     """
 
+    role = "gateway"
+
     def __init__(
         self,
         workers: Mapping[str, str]
@@ -158,20 +159,29 @@ class FleetGateway(BaseAsyncHttpServer):
         swap_drain_timeout: float = 60.0,
         metrics: GatewayMetrics | None = None,
     ) -> None:
-        super().__init__(host=host, port=port, drain_grace=drain_grace)
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        super().__init__(
+            host=host,
+            port=port,
+            max_inflight=max_inflight,
+            retry_after=retry_after,
+            drain_grace=drain_grace,
+            metrics=metrics if metrics is not None else GatewayMetrics(),
+        )
         if eject_after < 1:
             raise ValueError(f"eject_after must be >= 1, got {eject_after}")
+        for name, value in (
+            ("health_interval", health_interval),
+            ("health_timeout", health_timeout),
+            ("worker_timeout", worker_timeout),
+        ):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         self._provider = _as_provider(workers)
-        self.max_inflight = max_inflight
         self.health_interval = health_interval
         self.health_timeout = health_timeout
         self.eject_after = eject_after
         self.worker_timeout = worker_timeout
-        self.retry_after = retry_after
         self.swap_drain_timeout = swap_drain_timeout
-        self.metrics = metrics if metrics is not None else GatewayMetrics()
         self._workers: dict[str, WorkerState] = {}
         #: Names that were ever routed to: a later admission of the
         #: same name is a *readmission* even across process restarts
@@ -250,168 +260,30 @@ class FleetGateway(BaseAsyncHttpServer):
         for st in self._workers.values():
             st.close()
 
-    # -- routing --------------------------------------------------------
+    # -- forwarding -----------------------------------------------------
 
-    async def _dispatch(
-        self, method: str, path: str, headers: dict[str, str], body: bytes
-    ) -> tuple[int, dict | bytes, dict]:
-        endpoint = self._endpoint_label(method, path)
-        self.metrics.observe_request(endpoint)
-        t0 = time.perf_counter()
-        extra: dict = {}
-        try:
-            answer = await self._route(method, path, headers, body, endpoint)
-            if len(answer) == 3:
-                status, payload, extra = answer
-            else:
-                status, payload = answer
-        except Exception as exc:  # noqa: BLE001 — last-resort 500
-            status, payload = 500, _error(
-                "internal", f"{type(exc).__name__}: {exc}"
-            )
-        self.metrics.observe_response(
-            endpoint, status, time.perf_counter() - t0
-        )
-        return status, payload, extra
+    async def _list_datasets(self, request: Request) -> tuple:
+        return await self._admitted(request, self._proxy, None, request)
 
-    def _endpoint_label(self, method: str, path: str) -> str:
-        parts = [p for p in path.split("?")[0].split("/") if p]
-        if parts == ["healthz"] or parts == ["metrics"]:
-            return f"{method} /{parts[0]}"
-        if parts[:2] == ["v1", "datasets"]:
-            if len(parts) == 2:
-                return "GET /v1/datasets"
-            return "POST /v1/datasets/{name}/delays"
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
-            return f"POST /v1/{{name}}/{parts[2]}"
-        return f"{method} <unmatched>"
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        headers: dict[str, str],
-        body: bytes,
-        endpoint: str,
+    async def _handle_query(
+        self, request: Request, dataset: str, shape: str
     ) -> tuple:
-        parts = [p for p in path.split("?")[0].split("/") if p]
-
-        if parts == ["healthz"]:
-            if method != "GET":
-                return 405, _error(
-                    "method_not_allowed", f"use GET, not {method}"
-                )
-            return 200, self._healthz_payload()
-
-        if parts == ["metrics"]:
-            if method != "GET":
-                return 405, _error(
-                    "method_not_allowed", f"use GET, not {method}"
-                )
-            return 200, await self._metrics_payload()
-
-        if parts == ["v1", "datasets"]:
-            if method != "GET":
-                return 405, _error(
-                    "method_not_allowed", f"use GET, not {method}"
-                )
-            return await self._handle_forward(
-                None, "GET", path, None, endpoint, headers
-            )
-
-        if (
-            len(parts) == 4
-            and parts[:2] == ["v1", "datasets"]
-            and parts[3] == "delays"
-        ):
-            if method != "POST":
-                return 405, _error(
-                    "method_not_allowed", f"use POST, not {method}"
-                )
-            return await self._handle_delays(parts[2], body, endpoint)
-
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
-            if method != "POST":
-                return 405, _error(
-                    "method_not_allowed", f"use POST, not {method}"
-                )
-            return await self._handle_forward(
-                parts[1], "POST", path, body, endpoint, headers
-            )
-
-        return 404, _error("unknown_route", f"no route for {method} {path}")
-
-    # -- admission and forwarding ---------------------------------------
-
-    def _admit(self, endpoint: str) -> tuple[int, dict, dict] | None:
-        if self._draining:
-            self.metrics.observe_reject(endpoint)
-            return 503, _error(
-                "draining", "gateway is shutting down", retriable=True
-            ), self._retry_after_header()
-        if self._inflight >= self.max_inflight:
-            self.metrics.observe_reject(endpoint)
-            return 503, _error(
-                "overloaded",
-                f"{self._inflight} requests in flight "
-                f"(max_inflight={self.max_inflight}); retry",
-                retriable=True,
-            ), self._retry_after_header()
-        return None
-
-    def _retry_after_header(self) -> dict:
-        value = self.retry_after
-        rendered = (
-            str(int(value)) if float(value).is_integer() else f"{value:g}"
+        gate = self._gates.get(dataset)
+        if gate is not None and not gate.is_set():
+            # A coordinated swap is committing: park until the fleet
+            # is uniformly on the new generation.
+            await gate.wait()
+        self._dataset_inflight[dataset] = (
+            self._dataset_inflight.get(dataset, 0) + 1
         )
-        return {"Retry-After": rendered}
-
-    async def _handle_forward(
-        self,
-        dataset: str | None,
-        method: str,
-        path: str,
-        body: bytes | None,
-        endpoint: str,
-        headers: dict[str, str],
-    ) -> tuple:
-        rejection = self._admit(endpoint)
-        if rejection is not None:
-            return rejection
-        self._inflight += 1
-        self.metrics.inflight = self._inflight
         try:
-            if dataset is not None:
-                gate = self._gates.get(dataset)
-                if gate is not None and not gate.is_set():
-                    # A coordinated swap is committing: park until the
-                    # fleet is uniformly on the new generation.
-                    await gate.wait()
-                self._dataset_inflight[dataset] = (
-                    self._dataset_inflight.get(dataset, 0) + 1
-                )
-            try:
-                return await self._proxy(
-                    dataset, method, path, body, endpoint, headers
-                )
-            finally:
-                if dataset is not None:
-                    self._dataset_inflight[dataset] -= 1
+            return await self._proxy(dataset, request)
         finally:
-            self._inflight -= 1
-            self.metrics.inflight = self._inflight
+            self._dataset_inflight[dataset] -= 1
 
-    async def _proxy(
-        self,
-        dataset: str | None,
-        method: str,
-        path: str,
-        body: bytes | None,
-        endpoint: str,
-        headers: dict[str, str],
-    ) -> tuple:
+    async def _proxy(self, dataset: str | None, request: Request) -> tuple:
         forward_headers = None
-        attempt_header = headers.get("x-retry-attempt")
+        attempt_header = request.headers.get("x-retry-attempt")
         if attempt_header is not None:
             forward_headers = {"X-Retry-Attempt": attempt_header}
         tried: set[str] = set()
@@ -419,17 +291,21 @@ class FleetGateway(BaseAsyncHttpServer):
             st = self._pick(dataset, tried)
             if st is None:
                 self.metrics.no_worker_total += 1
-                self.metrics.observe_reject(endpoint)
-                return 503, _error(
+                self.metrics.observe_reject(request.endpoint)
+                return self._retriable(
+                    503,
                     "no_healthy_workers",
                     "no healthy worker available"
                     + (f" for dataset {dataset!r}" if dataset else ""),
-                    retriable=True,
-                ), self._retry_after_header()
+                )
             tried.add(st.name)
             try:
                 status, resp_headers, raw = await self._forward(
-                    st, method, path, body, headers=forward_headers
+                    st,
+                    request.method,
+                    request.path,
+                    request.body or None,
+                    headers=forward_headers,
                 )
             except _FORWARD_FAILURES as exc:
                 # The worker died under us (killed, crashed, hung).
@@ -438,12 +314,12 @@ class FleetGateway(BaseAsyncHttpServer):
                 if attempt == 0:
                     self.metrics.failovers_total += 1
                     continue
-                return 502, _error(
+                return self._retriable(
+                    502,
                     "upstream_failed",
                     f"worker {st.name} failed mid-request and no peer "
                     f"could answer: {exc}",
-                    retriable=True,
-                ), self._retry_after_header()
+                )
             if (
                 status == 503
                 and attempt == 0
@@ -453,12 +329,16 @@ class FleetGateway(BaseAsyncHttpServer):
                 self.metrics.failovers_total += 1
                 continue
             self.metrics.observe_forward(st.name)
-            extra: dict = {}
-            retry_after = resp_headers.get("retry-after")
-            if retry_after is not None:
-                extra["Retry-After"] = retry_after
-            return status, raw, extra
+            return self._relay(status, resp_headers, raw)
         raise AssertionError("unreachable")  # pragma: no cover
+
+    @staticmethod
+    def _relay(status: int, headers: dict, raw: bytes) -> tuple:
+        """A worker's answer as the gateway's: the body byte-for-byte,
+        with the worker's ``Retry-After`` hint."""
+        retry_after = headers.get("retry-after")
+        extra = {} if retry_after is None else {"Retry-After": retry_after}
+        return status, raw, extra
 
     async def _forward(
         self,
@@ -521,39 +401,21 @@ class FleetGateway(BaseAsyncHttpServer):
 
     # -- delays (coordinated swap) --------------------------------------
 
-    async def _handle_delays(
-        self, dataset: str, body: bytes, endpoint: str
-    ) -> tuple:
-        rejection = self._admit(endpoint)
-        if rejection is not None:
-            return rejection
-        self._inflight += 1
-        self.metrics.inflight = self._inflight
-        try:
-            if not body:
-                return 400, _error("invalid_request", "request body is empty")
-            try:
-                parsed = json.loads(body)
-            except json.JSONDecodeError as exc:
-                return 400, _error(
-                    "invalid_json", f"request body is not valid JSON: {exc}"
-                )
-            if not isinstance(parsed, dict):
-                return 400, _error(
-                    "invalid_request", "request body must be a JSON object"
-                )
-            mode = parsed.get("mode", "apply")
-            if mode != "apply":
-                return 400, _error(
-                    "invalid_request",
-                    f"mode {mode!r} is not accepted by the gateway: it "
-                    f"coordinates the two-phase swap itself — POST "
-                    f"mode=apply (or omit mode)",
-                )
-            return await self._swap.coordinate(dataset, parsed)
-        finally:
-            self._inflight -= 1
-            self.metrics.inflight = self._inflight
+    async def _handle_delays(self, request: Request, dataset: str) -> tuple:
+        parsed = parse_body(request.body)
+        if not isinstance(parsed, dict):
+            raise ProtocolError(
+                "invalid_request", "request body must be a JSON object"
+            )
+        mode = parsed.get("mode", "apply")
+        if mode != "apply":
+            raise ProtocolError(
+                "invalid_request",
+                f"mode {mode!r} is not accepted by the gateway: it "
+                f"coordinates the two-phase swap itself — POST "
+                f"mode=apply (or omit mode)",
+            )
+        return await self._swap.coordinate(dataset, parsed)
 
     # -- health, ejection, readmission ----------------------------------
 
@@ -594,20 +456,23 @@ class FleetGateway(BaseAsyncHttpServer):
                 st.close()
         states = list(self._workers.values())
         results = await asyncio.gather(
-            *(self._probe(st) for st in states), return_exceptions=True
+            *(self._get_json(st, "/healthz") for st in states),
+            return_exceptions=True,
         )
         for st, result in zip(states, results):
             # The sweep may race a provider change; skip replaced states.
             if self._workers.get(st.name) is st:
                 self._note_probe(st, result)
 
-    async def _probe(self, st: WorkerState) -> dict:
+    async def _get_json(self, st: WorkerState, path: str) -> dict:
+        """GET one of a worker's introspection documents on its probe
+        connection (short timeout, control pool)."""
         status, _, raw = await asyncio.get_running_loop().run_in_executor(
             self._control_pool,
-            lambda: st.health.forward("GET", "/healthz"),
+            lambda: st.health.forward("GET", path),
         )
         if status != 200:
-            raise TransportError(f"healthz answered {status}")
+            raise TransportError(f"{path.lstrip('/')} answered {status}")
         return json.loads(raw)
 
     def _note_probe(self, st: WorkerState, result: dict | BaseException) -> None:
@@ -720,7 +585,7 @@ class FleetGateway(BaseAsyncHttpServer):
             "v": PROTOCOL_VERSION,
             "status": self.health_status,
             "ready": self.health_status == "ok",
-            "role": "gateway",
+            "role": self.role,
             "datasets": sorted(datasets),
             "generations": {
                 # Safe lock-free read: this sync method runs on the event
@@ -742,7 +607,7 @@ class FleetGateway(BaseAsyncHttpServer):
             st for st in self._workers.values() if st.state != "down"
         ]
         snapshots = await asyncio.gather(
-            *(self._fetch_metrics(st) for st in states),
+            *(self._get_json(st, "/metrics") for st in states),
             return_exceptions=True,
         )
         workers: dict[str, dict | None] = {}
@@ -757,15 +622,6 @@ class FleetGateway(BaseAsyncHttpServer):
             "workers": dict(sorted(workers.items())),
             "fleet": fleet,
         }
-
-    async def _fetch_metrics(self, st: WorkerState) -> dict:
-        status, _, raw = await asyncio.get_running_loop().run_in_executor(
-            self._control_pool,
-            lambda: st.health.forward("GET", "/metrics"),
-        )
-        if status != 200:
-            raise TransportError(f"metrics answered {status}")
-        return json.loads(raw)
 
 
 def _as_provider(
@@ -814,12 +670,3 @@ def _aggregate(snapshots: list[dict]) -> dict:
         },
     }
 
-
-def _error(code: str, message: str, *, retriable: bool = False) -> dict:
-    payload: dict = {
-        "v": PROTOCOL_VERSION,
-        "error": {"code": code, "message": message},
-    }
-    if retriable:
-        payload["error"]["retriable"] = True
-    return payload

@@ -6,11 +6,13 @@ gateway's event-loop thread only (forward results are observed after
 ``run_in_executor`` returns), so — like
 :class:`~repro.server.metrics.ServerMetrics` — no locking is needed.
 
-The gateway's request counters deliberately reuse the worker's
-endpoint labels, so a dashboard can overlay "requests the fleet
-received" (gateway) with "requests each worker served" (worker
-``/metrics``, aggregated in the gateway snapshot's ``fleet`` section)
-and attribute the difference to failovers and rejections.  What is
+The request counters are the HTTP front's
+(:class:`~repro.server.http_base.RequestMetrics`, shared with the
+worker, endpoint labels included), so a dashboard can overlay
+"requests the fleet received" (gateway) with "requests each worker
+served" (worker ``/metrics``, aggregated in the gateway snapshot's
+``fleet`` section) and attribute the difference to failovers and
+rejections.  What is
 *new* here is the routing story: per-worker forward counts, failovers
 (a query re-sent to a peer after its first worker died mid-request),
 ejections/readmissions, delay-log catch-up replays, and the duration
@@ -19,24 +21,16 @@ of the routing pause each coordinated swap holds.
 
 from __future__ import annotations
 
-import time
-
-from repro.server.metrics import LatencyHistogram
+from repro.server.http_base import RequestMetrics
 
 __all__ = ["GatewayMetrics"]
 
 
-class GatewayMetrics:
+class GatewayMetrics(RequestMetrics):
     """Routing/forwarding accounting of one gateway (loop-only)."""
 
     def __init__(self) -> None:
-        self._started = time.monotonic()
-        self.requests_total: dict[str, int] = {}  # guarded-by: loop
-        self.responses_total: dict[str, dict[str, int]] = {}  # guarded-by: loop
-        self.latency: dict[str, LatencyHistogram] = {}  # guarded-by: loop
-        self.rejected_total = 0  # guarded-by: loop
-        self.rejected_by_endpoint: dict[str, int] = {}  # guarded-by: loop
-        self.inflight = 0  # guarded-by: loop
+        super().__init__()
         #: Forwards that returned (any status), per worker name.
         self.forwards_total: dict[str, int] = {}  # guarded-by: loop
         #: Queries re-sent to a peer after the first worker failed
@@ -65,28 +59,6 @@ class GatewayMetrics:
         self.health_sweep_errors_total = 0  # guarded-by: loop
 
     # -- observation hooks ---------------------------------------------
-
-    def observe_request(self, endpoint: str) -> None:
-        self.requests_total[endpoint] = (
-            self.requests_total.get(endpoint, 0) + 1
-        )
-
-    def observe_response(
-        self, endpoint: str, status: int, seconds: float
-    ) -> None:
-        per_status = self.responses_total.setdefault(endpoint, {})
-        key = str(status)
-        per_status[key] = per_status.get(key, 0) + 1
-        hist = self.latency.get(endpoint)
-        if hist is None:
-            hist = self.latency[endpoint] = LatencyHistogram()
-        hist.observe(seconds)
-
-    def observe_reject(self, endpoint: str) -> None:
-        self.rejected_total += 1
-        self.rejected_by_endpoint[endpoint] = (
-            self.rejected_by_endpoint.get(endpoint, 0) + 1
-        )
 
     def observe_forward(self, worker: str) -> None:
         self.forwards_total[worker] = self.forwards_total.get(worker, 0) + 1
@@ -122,19 +94,7 @@ class GatewayMetrics:
     def snapshot(self) -> dict:
         """JSON-safe gateway section of the fleet ``/metrics``."""
         return {
-            "uptime_seconds": round(time.monotonic() - self._started, 3),
-            "requests_total": dict(self.requests_total),
-            "responses_total": {
-                endpoint: dict(statuses)
-                for endpoint, statuses in self.responses_total.items()
-            },
-            "rejected_total": self.rejected_total,
-            "rejected_by_endpoint": dict(self.rejected_by_endpoint),
-            "inflight": self.inflight,
-            "latency": {
-                endpoint: hist.snapshot()
-                for endpoint, hist in self.latency.items()
-            },
+            **super().snapshot(),
             "forwards_total": dict(self.forwards_total),
             "failovers_total": self.failovers_total,
             "no_worker_total": self.no_worker_total,

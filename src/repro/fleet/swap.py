@@ -77,11 +77,11 @@ class FleetSwapCoordinator:
                 st = gw._pick(dataset, set())
                 if st is None:
                     gw.metrics.no_worker_total += 1
-                    return 503, _error(
+                    return gw._retriable(
+                        503,
                         "no_healthy_workers",
                         f"no healthy worker serves dataset {dataset!r}",
-                        retriable=True,
-                    ), gw._retry_after_header()
+                    )
                 return await self._passthrough(st, path, body)
             t0 = time.perf_counter()
 
@@ -107,12 +107,12 @@ class FleetSwapCoordinator:
             try:
                 if not await self._drain(dataset):
                     await self._abort_all(path, tokens)
-                    return 503, _error(
+                    return gw._retriable(
+                        503,
                         "swap_drain_timeout",
                         f"in-flight queries on {dataset!r} did not drain "
                         f"within {gw.swap_drain_timeout:g}s; swap aborted",
-                        retriable=True,
-                    ), gw._retry_after_header()
+                    )
                 committed, failed = await self._commit_all(
                     path, {st: payload["token"] for st, payload in tokens.items()}
                 )
@@ -123,12 +123,12 @@ class FleetSwapCoordinator:
             if not committed:
                 # No worker flipped: the fleet is still uniformly on
                 # the old generation — safe to report failure.
-                return 502, _error(
+                return gw._retriable(
+                    502,
                     "swap_commit_failed",
                     f"no worker committed the prepared swap on "
                     f"{dataset!r}; the fleet is unchanged",
-                    retriable=True,
-                ), gw._retry_after_header()
+                )
 
             # The fleet moved.  Record the batch (restarted/failed
             # workers replay it before readmission) and eject workers
@@ -216,15 +216,11 @@ class FleetSwapCoordinator:
         if client_error is not None:
             return tokens, client_error
         if transport_failures or len(tokens) != len(targets):
-            return tokens, (
+            return tokens, gw._retriable(
                 502,
-                _error(
-                    "swap_prepare_failed",
-                    f"{transport_failures} worker(s) failed during "
-                    f"prepare; swap aborted, fleet unchanged",
-                    retriable=True,
-                ),
-                gw._retry_after_header(),
+                "swap_prepare_failed",
+                f"{transport_failures} worker(s) failed during "
+                f"prepare; swap aborted, fleet unchanged",
             )
         return tokens, None
 
@@ -316,21 +312,6 @@ class FleetSwapCoordinator:
             )
         except BackendError as exc:
             gw._eject(st, reason=f"{type(exc).__name__}: {exc}")
-            return 502, _error(
-                "upstream_failed", str(exc), retriable=True
-            ), gw._retry_after_header()
-        extra: dict = {}
-        retry_after = headers.get("retry-after")
-        if retry_after is not None:
-            extra["Retry-After"] = retry_after
-        return status, raw, extra
+            return gw._retriable(502, "upstream_failed", str(exc))
+        return gw._relay(status, headers, raw)
 
-
-def _error(code: str, message: str, *, retriable: bool = False) -> dict:
-    payload: dict = {
-        "v": PROTOCOL_VERSION,
-        "error": {"code": code, "message": message},
-    }
-    if retriable:
-        payload["error"]["retriable"] = True
-    return payload

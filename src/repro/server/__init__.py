@@ -13,10 +13,13 @@ journey-planning *service* the paper frames SPCS as the engine for.
 * :mod:`repro.server.executor` — worker-pool execution; concurrent
   journeys micro-batch into one
   :class:`~repro.query.batch.BatchQueryEngine` pass;
-* :mod:`repro.server.app` — HTTP routing, bounded admission (fast 503
-  on overload), graceful drain;
-* :mod:`repro.server.metrics` — request counters, latency histograms,
-  cache hit rates.
+* :mod:`repro.server.http_base` — the HTTP front shared with the
+  fleet gateway: connection loop, routes and methods, bounded
+  admission (fast 503 on overload), error envelope, request counters
+  and latency histograms, graceful drain;
+* :mod:`repro.server.app` — the worker's query and delay handlers;
+* :mod:`repro.server.metrics` — the worker's counters beyond the
+  front's: client retries, micro-batching, swaps, cache hit rates.
 
 Entry points: ``repro-transit serve --store DIR --port N`` (CLI) or
 embed :class:`TransitServer` directly (``examples/serve_city.py``).

@@ -20,15 +20,15 @@ Design:
 
 * **No blocking on the loop** — every service call runs on the
   :class:`~repro.server.executor.QueryExecutor` worker pool; the loop
-  only parses, routes, and serializes.  The HTTP mechanics (keep-alive
-  loop, request reading, graceful drain) live in
+  only parses, routes, and serializes.
+* **One HTTP front** — the keep-alive loop, routes and methods,
+  bounded admission (at most ``max_inflight`` queries and delay swaps
+  in flight, the next one answered ``503 overloaded`` immediately),
+  the error envelope, graceful drain and the request metrics live in
   :class:`~repro.server.http_base.BaseAsyncHttpServer`, shared with
-  the fleet gateway.
-* **Bounded admission** — at most ``max_inflight`` query requests (and
-  delay swaps, which are worker-pool jobs like any query) are in
-  flight; the next one is answered ``503 overloaded`` immediately
-  (closed-loop clients back off instead of queueing into timeout).
-  ``/healthz`` and ``/metrics`` are always admitted.
+  the fleet gateway.  This class adds the query and delay handlers,
+  the domain-exception → status mapping and the ``X-Retry-Attempt``
+  count.
 * **Hot swaps drain, never break** — a query pins its dataset's
   service reference at admission; the swap replaces the reference for
   *later* requests only (:mod:`repro.server.registry`).
@@ -44,17 +44,12 @@ Design:
 
 from __future__ import annotations
 
-import json
-import time
-
 from repro.server.executor import QueryExecutor
-from repro.server.http_base import MAX_BODY_BYTES, BaseAsyncHttpServer
+from repro.server.http_base import MAX_BODY_BYTES, BaseAsyncHttpServer, Request
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     PROTOCOL_VERSION,
-    QUERY_SHAPES,
     DelayCommand,
-    ProtocolError,
     encode_batch,
     encode_journey,
     encode_min_transfers,
@@ -62,6 +57,7 @@ from repro.server.protocol import (
     encode_profile,
     encode_via,
     parse_batch_request,
+    parse_body,
     parse_delay_request,
     parse_journey_request,
     parse_min_transfers_request,
@@ -76,6 +72,14 @@ __all__ = ["MAX_BODY_BYTES", "TransitServer"]
 
 class TransitServer(BaseAsyncHttpServer):
     """One listening socket over one :class:`DatasetRegistry`."""
+
+    error_status = (
+        (RegistryError, 404, "unknown_dataset"),
+        (SwapStateError, 409, "swap_conflict"),
+        # Domain validation the protocol layer cannot see (e.g.
+        # Delay.from_stop past the train's run).
+        (ValueError, 400, "invalid_request"),
+    )
 
     def __init__(
         self,
@@ -92,21 +96,15 @@ class TransitServer(BaseAsyncHttpServer):
         executor: QueryExecutor | None = None,
         metrics: ServerMetrics | None = None,
     ) -> None:
-        super().__init__(host=host, port=port, drain_grace=drain_grace)
-        if max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
-        if retry_after < 0:
-            raise ValueError(
-                f"retry_after must be non-negative, got {retry_after}"
-            )
+        super().__init__(
+            host=host,
+            port=port,
+            max_inflight=max_inflight,
+            retry_after=retry_after,
+            drain_grace=drain_grace,
+            metrics=metrics if metrics is not None else ServerMetrics(),
+        )
         self.registry = registry
-        self.max_inflight = max_inflight
-        #: Backoff hint (seconds) sent as ``Retry-After`` on every
-        #: retriable 503; cooperative clients (repro.client) honor it.
-        self.retry_after = retry_after
-        self.metrics = metrics if metrics is not None else ServerMetrics()
         self.executor = (
             executor
             if executor is not None
@@ -123,225 +121,94 @@ class TransitServer(BaseAsyncHttpServer):
     async def _post_drain(self) -> None:
         await self.executor.shutdown()
 
-    # -- routing --------------------------------------------------------
-
-    async def _dispatch(
-        self, method: str, path: str, headers: dict[str, str], body: bytes
-    ) -> tuple[int, dict, dict]:
-        """Route one request; returns ``(status, payload, extra
-        response headers)``.  Handlers return 2-tuples unless they have
-        headers to add (the 503 rejections carry ``Retry-After``)."""
-        endpoint = self._endpoint_label(method, path)
-        self.metrics.observe_request(endpoint)
-        self._observe_client_retry(headers)
-        t0 = time.perf_counter()
-        extra: dict = {}
+    async def _dispatch(self, request: Request) -> tuple:
+        """The front's dispatch, plus the count of requests that
+        declare themselves retries (the ``X-Retry-Attempt`` header
+        repro.client sends with its 503 backoff retries) in
+        ``retries_observed_total``."""
         try:
-            answer = await self._route(method, path, body, endpoint)
-            if len(answer) == 3:
-                status, payload, extra = answer
-            else:
-                status, payload = answer
-        except ProtocolError as exc:
-            status, payload = exc.status, exc.payload()
-        except RegistryError as exc:
-            status, payload = 404, _error("unknown_dataset", str(exc))
-        except SwapStateError as exc:
-            status, payload = 409, _error("swap_conflict", str(exc))
-        except ValueError as exc:
-            # Domain validation the protocol layer cannot see (e.g.
-            # Delay.from_stop past the train's run).
-            status, payload = 400, _error("invalid_request", str(exc))
-        except Exception as exc:  # noqa: BLE001 — last-resort 500
-            status, payload = 500, _error(
-                "internal", f"{type(exc).__name__}: {exc}"
-            )
-        self.metrics.observe_response(
-            endpoint, status, time.perf_counter() - t0
-        )
-        return status, payload, extra
-
-    def _observe_client_retry(self, headers: dict[str, str]) -> None:
-        """Count requests that declare themselves retries (the
-        ``X-Retry-Attempt`` header repro.client sends with its 503
-        backoff retries) in ``retries_observed_total``."""
-        raw = headers.get("x-retry-attempt")
-        if raw is None:
-            return
-        try:
-            attempt = int(raw)
+            retry = int(request.headers.get("x-retry-attempt", "0")) > 0
         except ValueError:
-            return
-        if attempt > 0:
+            retry = False
+        if retry:
             self.metrics.observe_client_retry()
-
-    def _endpoint_label(self, method: str, path: str) -> str:
-        """Low-cardinality endpoint label for metrics (dataset names
-        are folded out of the label; per-dataset detail lives in the
-        registry section of the snapshot)."""
-        parts = [p for p in path.split("?")[0].split("/") if p]
-        if parts == ["healthz"] or parts == ["metrics"]:
-            return f"{method} /{parts[0]}"
-        if parts[:2] == ["v1", "datasets"]:
-            if len(parts) == 2:
-                return "GET /v1/datasets"
-            return "POST /v1/datasets/{name}/delays"
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
-            return f"POST /v1/{{name}}/{parts[2]}"
-        return f"{method} <unmatched>"
-
-    async def _route(
-        self, method: str, path: str, body: bytes, endpoint: str
-    ) -> tuple:
-        parts = [p for p in path.split("?")[0].split("/") if p]
-
-        if parts == ["healthz"]:
-            _require_method(method, "GET")
-            return 200, {
-                "v": PROTOCOL_VERSION,
-                "status": self.health_status,
-                "ready": self.health_status == "ok",
-                "datasets": self.registry.names(),
-                "generations": {
-                    entry.name: entry.generation
-                    for entry in self.registry.entries()
-                },
-            }
-
-        if parts == ["metrics"]:
-            _require_method(method, "GET")
-            return 200, {
-                "v": PROTOCOL_VERSION,
-                **self.metrics.snapshot(self.registry),
-            }
-
-        if parts == ["v1", "datasets"]:
-            _require_method(method, "GET")
-            return 200, {
-                "v": PROTOCOL_VERSION,
-                "datasets": [
-                    entry.describe() for entry in self.registry.entries()
-                ],
-            }
-
-        if (
-            len(parts) == 4
-            and parts[:2] == ["v1", "datasets"]
-            and parts[3] == "delays"
-        ):
-            _require_method(method, "POST")
-            return await self._handle_delays(parts[2], body, endpoint)
-
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
-            _require_method(method, "POST")
-            return await self._handle_query(parts[1], parts[2], body, endpoint)
-
-        raise ProtocolError(
-            "unknown_route", f"no route for {method} {path}", status=404
-        )
+        return await super()._dispatch(request)
 
     # -- handlers -------------------------------------------------------
 
-    def _admit(self, endpoint: str) -> tuple[int, dict, dict] | None:
-        """Admission control: fast 503 instead of an unbounded queue.
-        Returns the rejection response (with its ``Retry-After``
-        backoff hint), or ``None`` when admitted.  Note unreadiness
-        (``begin_drain``) does *not* reject — the grace window exists
-        precisely so requests still in flight from a router that has
-        not yet noticed keep succeeding."""
-        if self._draining:
-            self.metrics.observe_reject(endpoint)
-            return 503, _error(
-                "draining", "server is shutting down", retriable=True
-            ), self._retry_after_header()
-        if self._inflight >= self.max_inflight:
-            self.metrics.observe_reject(endpoint)
-            return 503, _error(
-                "overloaded",
-                f"{self._inflight} requests in flight "
-                f"(max_inflight={self.max_inflight}); retry",
-                retriable=True,
-            ), self._retry_after_header()
-        return None
+    def _healthz_payload(self) -> dict:
+        return {
+            "v": PROTOCOL_VERSION,
+            "status": self.health_status,
+            "ready": self.health_status == "ok",
+            "datasets": self.registry.names(),
+            "generations": {
+                entry.name: entry.generation
+                for entry in self.registry.entries()
+            },
+        }
 
-    def _retry_after_header(self) -> dict:
-        # RFC 9110 wants integral delta-seconds; emit sub-second
-        # values as-is anyway (our own client parses floats, and a
-        # strict parser falling back to "retry later" is still right).
-        value = self.retry_after
-        rendered = str(int(value)) if float(value).is_integer() else f"{value:g}"
-        return {"Retry-After": rendered}
+    async def _metrics_payload(self) -> dict:
+        return {"v": PROTOCOL_VERSION, **self.metrics.snapshot(self.registry)}
+
+    async def _list_datasets(self, request: Request) -> tuple:
+        return 200, {
+            "v": PROTOCOL_VERSION,
+            "datasets": [
+                entry.describe() for entry in self.registry.entries()
+            ],
+        }
 
     async def _handle_query(
-        self, name: str, shape: str, body: bytes, endpoint: str
+        self, request: Request, dataset: str, shape: str
     ) -> tuple:
-        rejection = self._admit(endpoint)
-        if rejection is not None:
-            return rejection
         # Pin the service *before* any await: a hot swap mid-request
         # must not change what this request runs against.
-        entry = self.registry.get(name)
-        service = entry.service
+        service = self.registry.get(dataset).service
         num_stations = service.timetable.num_stations
-        self._inflight += 1
-        self.metrics.inflight = self._inflight
-        try:
-            parsed = _parse_body(body)
-            if shape == "profile":
-                request, targets = parse_profile_request(parsed, num_stations)
-                result = await self.executor.profile(service, request)
-                return 200, encode_profile(
-                    result, num_stations=num_stations, targets=targets
-                )
-            if shape == "journey":
-                request = parse_journey_request(parsed, num_stations)
-                result = await self.executor.journey(service, request)
-                return 200, encode_journey(result)
-            if shape == "multicriteria":
-                request = parse_multicriteria_request(parsed, num_stations)
-                result = await self.executor.multicriteria(service, request)
-                return 200, encode_multicriteria(result)
-            if shape == "via":
-                request = parse_via_request(parsed, num_stations)
-                result = await self.executor.via(service, request)
-                return 200, encode_via(result)
-            if shape == "min-transfers":
-                request = parse_min_transfers_request(parsed, num_stations)
-                result = await self.executor.min_transfers(service, request)
-                return 200, encode_min_transfers(result)
-            request = parse_batch_request(parsed, num_stations)
-            response = await self.executor.batch(service, request)
-            return 200, encode_batch(response, num_stations=num_stations)
-        finally:
-            self._inflight -= 1
-            self.metrics.inflight = self._inflight
-
-    async def _handle_delays(
-        self, name: str, body: bytes, endpoint: str
-    ) -> tuple:
-        # Replans are CPU-heavy worker-pool jobs like any query: they
-        # obey the same admission bound (a swap storm must not starve
-        # queries) and a draining server starts no new ones.
-        rejection = self._admit(endpoint)
-        if rejection is not None:
-            return rejection
-        self._inflight += 1
-        self.metrics.inflight = self._inflight
-        try:
-            entry = self.registry.get(name)
-            command = parse_delay_request(
-                _parse_body(body), entry.service.timetable.num_trains
+        parsed = parse_body(request.body)
+        if shape == "profile":
+            query, targets = parse_profile_request(parsed, num_stations)
+            result = await self.executor.profile(service, query)
+            return 200, encode_profile(
+                result, num_stations=num_stations, targets=targets
             )
-            if command.mode == "apply":
-                return 200, await self._swap_apply(name, command)
-            if command.mode == "prepare":
-                return 200, await self._swap_prepare(name, command)
-            if command.mode == "commit":
-                return 200, await self._swap_commit(name, command)
-            return 200, await self._swap_abort(name, command)
-        finally:
-            self._inflight -= 1
-            self.metrics.inflight = self._inflight
+        if shape == "journey":
+            query = parse_journey_request(parsed, num_stations)
+            result = await self.executor.journey(service, query)
+            return 200, encode_journey(result)
+        if shape == "multicriteria":
+            query = parse_multicriteria_request(parsed, num_stations)
+            result = await self.executor.multicriteria(service, query)
+            return 200, encode_multicriteria(result)
+        if shape == "via":
+            query = parse_via_request(parsed, num_stations)
+            result = await self.executor.via(service, query)
+            return 200, encode_via(result)
+        if shape == "min-transfers":
+            query = parse_min_transfers_request(parsed, num_stations)
+            result = await self.executor.min_transfers(service, query)
+            return 200, encode_min_transfers(result)
+        query = parse_batch_request(parsed, num_stations)
+        response = await self.executor.batch(service, query)
+        return 200, encode_batch(response, num_stations=num_stations)
+
+    async def _handle_delays(self, request: Request, dataset: str) -> tuple:
+        # Replans are CPU-heavy worker-pool jobs like any query: the
+        # front admits them under the same bound (a swap storm must
+        # not starve queries), and a draining server starts no new
+        # ones.
+        entry = self.registry.get(dataset)
+        command = parse_delay_request(
+            parse_body(request.body), entry.service.timetable.num_trains
+        )
+        if command.mode == "apply":
+            return 200, await self._swap_apply(dataset, command)
+        if command.mode == "prepare":
+            return 200, await self._swap_prepare(dataset, command)
+        if command.mode == "commit":
+            return 200, await self._swap_commit(dataset, command)
+        return 200, await self._swap_abort(dataset, command)
 
     async def _swap_apply(self, name: str, command: DelayCommand) -> dict:
         entry = await self.registry.apply_delays(
@@ -404,30 +271,3 @@ class TransitServer(BaseAsyncHttpServer):
             "token": command.token,
             "discarded": discarded,
         }
-
-
-def _parse_body(body: bytes) -> object:
-    if not body:
-        raise ProtocolError("invalid_request", "request body is empty")
-    try:
-        return json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(
-            "invalid_json", f"request body is not valid JSON: {exc}"
-        ) from None
-
-
-def _require_method(method: str, expected: str) -> None:
-    if method != expected:
-        raise ProtocolError(
-            "method_not_allowed",
-            f"use {expected} for this endpoint, not {method}",
-            status=405,
-        )
-
-
-def _error(code: str, message: str, *, retriable: bool = False) -> dict:
-    payload = ProtocolError(code, message).payload()
-    if retriable:
-        payload["error"]["retriable"] = True
-    return payload

@@ -1,14 +1,30 @@
-"""Shared asyncio HTTP/1.1 machinery for the serving front ends.
+"""The HTTP front shared by the serving processes.
 
-:class:`BaseAsyncHttpServer` owns everything that is identical between
-a query worker (:class:`~repro.server.app.TransitServer`) and the
-fleet routing gateway (:class:`~repro.fleet.gateway.FleetGateway`):
-the keep-alive connection loop, strict request reading with an
-oversized-body fast path, response writing, and the two-stage graceful
-drain.  Subclasses implement exactly one hook —
-:meth:`BaseAsyncHttpServer._dispatch` — and may return either a JSON
-payload dict (serialized here) or pre-encoded ``bytes`` (written
-verbatim; the gateway forwards worker answers byte-for-byte this way).
+:class:`BaseAsyncHttpServer` is everything a query worker
+(:class:`~repro.server.app.TransitServer`) and the fleet routing
+gateway (:class:`~repro.fleet.gateway.FleetGateway`) answer alike
+(``docs/SERVER.md``, "HTTP front"):
+
+* the keep-alive connection loop: strict request reading, a 413 for a
+  body over :data:`MAX_BODY_BYTES` and a 400 for a malformed
+  ``Content-Length`` (both without reading the body, so the
+  connection closes), response writing;
+* the routes and their methods (:meth:`_route`): unknown paths are
+  404 ``unknown_route``, a wrong method is 405 ``method_not_allowed``;
+* bounded admission of delay posts and queries (:meth:`_admitted`):
+  past ``max_inflight``, or once draining, a fast retriable 503 with
+  a ``Retry-After`` hint;
+* the error envelope (:func:`~repro.server.protocol.error_payload`)
+  and the last-resort 500;
+* the request metrics (:class:`RequestMetrics`), counted per endpoint
+  label.
+
+A front supplies its payloads and handlers (``_healthz_payload``,
+``_metrics_payload``, ``_list_datasets``, ``_handle_delays``,
+``_handle_query``), which return ``(status, payload)`` or ``(status,
+payload, extra headers)``.  A payload is a JSON-safe dict (serialized
+here) or pre-encoded ``bytes`` (written verbatim; the gateway forwards
+worker answers byte-for-byte this way).
 
 Drain is split into **readiness** and **liveness**:
 
@@ -28,13 +44,29 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
+from dataclasses import dataclass
+from typing import Awaitable, Callable
+
+from repro.server.protocol import QUERY_SHAPES, ProtocolError, error_payload
+
+__all__ = [
+    "LATENCY_BUCKETS_MS",
+    "MAX_BODY_BYTES",
+    "BaseAsyncHttpServer",
+    "LatencyHistogram",
+    "Request",
+    "RequestMetrics",
+]
 
 #: Request bodies above this are rejected with 413 before parsing.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: Sentinel: the request declared a Content-Length over the cap and
-#: its body was never read off the socket.
-_BODY_TOO_LARGE = object()
+#: Upper bucket bounds in milliseconds (an implicit +inf bucket
+#: follows the last bound).
+LATENCY_BUCKETS_MS: tuple[float, ...] = (
+    1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
+)
 
 _STATUS_TEXT = {
     200: "OK",
@@ -49,23 +81,56 @@ _STATUS_TEXT = {
 }
 
 
+@dataclass(frozen=True, slots=True)
+class Request:
+    """One parsed request; ``endpoint`` is its metrics label."""
+
+    method: str
+    path: str
+    headers: dict[str, str]
+    body: bytes
+    endpoint: str
+
+
 class BaseAsyncHttpServer:
-    """One listening socket; subclasses route via :meth:`_dispatch`."""
+    """One listening socket; subclasses supply the handlers."""
+
+    #: How the ``draining`` rejection names this front.
+    role = "server"
+    #: Domain exceptions a handler may raise, checked in order, each
+    #: answered with ``(status, error code)`` and the exception text.
+    #: Anything else unhandled is a 500 ``internal``.
+    error_status: tuple[tuple[type[Exception], int, str], ...] = ()
 
     def __init__(
         self,
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        drain_grace: float = 0.0,
+        host: str,
+        port: int,
+        max_inflight: int,
+        retry_after: float,
+        drain_grace: float,
+        metrics: RequestMetrics,
     ) -> None:
         if drain_grace < 0:
             raise ValueError(
                 f"drain_grace must be non-negative, got {drain_grace}"
             )
+        if max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        if retry_after < 0:
+            raise ValueError(
+                f"retry_after must be non-negative, got {retry_after}"
+            )
         self.host = host
         self.port = port  # replaced by the bound port after start()
+        self.max_inflight = max_inflight
+        #: Backoff hint (seconds) sent as ``Retry-After`` on every
+        #: retriable rejection; cooperative clients (repro.client)
+        #: honor it.
+        self.retry_after = retry_after
         self.drain_grace = drain_grace
+        self.metrics = metrics
         self._server: asyncio.base_events.Server | None = None
         self._inflight = 0
         #: Readiness: cleared by :meth:`begin_drain`; ``/healthz``
@@ -135,15 +200,131 @@ class BaseAsyncHttpServer:
         """Subclass cleanup after the last request drained (worker
         pools, health loops, downstream connections)."""
 
-    # -- the routing hook ----------------------------------------------
+    # -- routing --------------------------------------------------------
 
     async def _dispatch(
-        self, method: str, path: str, headers: dict[str, str], body: bytes
+        self, request: Request
     ) -> tuple[int, dict | bytes, dict]:
-        """Route one request; returns ``(status, payload, extra
-        response headers)``.  ``payload`` may be a JSON-safe dict or
-        pre-encoded JSON ``bytes`` (forwarded verbatim)."""
+        """Route one request and count it; returns ``(status, payload,
+        extra response headers)``."""
+        self.metrics.observe_request(request.endpoint)
+        t0 = time.perf_counter()
+        try:
+            status, payload, *rest = await self._route(request)
+            extra = rest[0] if rest else {}
+        except ProtocolError as exc:
+            status, payload, extra = exc.status, exc.payload(), {}
+        except Exception as exc:  # noqa: BLE001 — mapped or last-resort 500
+            status, code = 500, "internal"
+            message = f"{type(exc).__name__}: {exc}"
+            for kind, kind_status, kind_code in self.error_status:
+                if isinstance(exc, kind):
+                    status, code, message = kind_status, kind_code, str(exc)
+                    break
+            payload, extra = error_payload(code, message), {}
+        self.metrics.observe_response(
+            request.endpoint, status, time.perf_counter() - t0
+        )
+        return status, payload, extra
+
+    async def _route(self, request: Request) -> tuple:
+        method = request.method
+        parts = _path_parts(request.path)
+        if parts == ["healthz"]:
+            _require_method(method, "GET")
+            return 200, self._healthz_payload()
+        if parts == ["metrics"]:
+            _require_method(method, "GET")
+            return 200, await self._metrics_payload()
+        if parts == ["v1", "datasets"]:
+            _require_method(method, "GET")
+            return await self._list_datasets(request)
+        if (
+            len(parts) == 4
+            and parts[:2] == ["v1", "datasets"]
+            and parts[3] == "delays"
+        ):
+            _require_method(method, "POST")
+            return await self._admitted(
+                request, self._handle_delays, request, parts[2]
+            )
+        if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
+            _require_method(method, "POST")
+            return await self._admitted(
+                request, self._handle_query, request, parts[1], parts[2]
+            )
+        raise ProtocolError(
+            "unknown_route",
+            f"no route for {method} {request.path}",
+            status=404,
+        )
+
+    # -- the handlers a front supplies ----------------------------------
+
+    def _healthz_payload(self) -> dict:
         raise NotImplementedError
+
+    async def _metrics_payload(self) -> dict:
+        raise NotImplementedError
+
+    async def _list_datasets(self, request: Request) -> tuple:
+        raise NotImplementedError
+
+    async def _handle_delays(self, request: Request, dataset: str) -> tuple:
+        raise NotImplementedError
+
+    async def _handle_query(
+        self, request: Request, dataset: str, shape: str
+    ) -> tuple:
+        raise NotImplementedError
+
+    # -- admission ------------------------------------------------------
+
+    async def _admitted(
+        self, request: Request, handler: Callable[..., Awaitable[tuple]], *args
+    ) -> tuple:
+        """Run ``handler(*args)`` as one admitted in-flight request, or
+        answer a fast 503 instead of queueing.  Unreadiness
+        (``begin_drain``) does *not* reject — the grace window exists
+        precisely so requests still in flight from a router that has
+        not yet noticed keep succeeding.  Nothing awaits between the
+        admission check and the handler's start."""
+        if self._draining:
+            self.metrics.observe_reject(request.endpoint)
+            return self._retriable(
+                503, "draining", f"{self.role} is shutting down"
+            )
+        if self._inflight >= self.max_inflight:
+            self.metrics.observe_reject(request.endpoint)
+            return self._retriable(
+                503,
+                "overloaded",
+                f"{self._inflight} requests in flight "
+                f"(max_inflight={self.max_inflight}); retry",
+            )
+        self._inflight += 1
+        self.metrics.inflight = self._inflight
+        try:
+            return await handler(*args)
+        finally:
+            self._inflight -= 1
+            self.metrics.inflight = self._inflight
+
+    def _retriable(self, status: int, code: str, message: str) -> tuple:
+        """A retriable error answer with the ``Retry-After`` hint."""
+        return (
+            status,
+            error_payload(code, message, retriable=True),
+            self._retry_after_header(),
+        )
+
+    def _retry_after_header(self) -> dict:
+        # RFC 9110 wants integral delta-seconds; emit sub-second
+        # values as-is anyway (our own client parses floats, and a
+        # strict parser falling back to "retry later" is still right).
+        value = self.retry_after
+        rendered = str(int(value)) if float(value).is_integer() else f"{value:g}"
+        return {"Retry-After": rendered}
 
     # -- connection handling -------------------------------------------
 
@@ -157,26 +338,22 @@ class BaseAsyncHttpServer:
                 self._idle_connections.add(writer)
                 try:
                     request = await self._read_request(reader)
+                except ProtocolError as exc:
+                    request = exc
                 finally:
                     self._idle_connections.discard(writer)
                 if request is None:
                     break
-                method, path, headers, body = request
-                if body is _BODY_TOO_LARGE:
-                    status, payload, extra = 413, _base_error(
-                        "payload_too_large",
-                        f"request body exceeds {MAX_BODY_BYTES} bytes",
-                    ), {}
-                    # The oversized body was never read off the socket,
-                    # so the connection cannot be reused.
-                    keep_alive = False
+                if isinstance(request, ProtocolError):
+                    # The body was never read off the socket, so the
+                    # connection cannot be reused.
+                    status, payload = request.status, request.payload()
+                    extra, keep_alive = {}, False
                 else:
-                    status, payload, extra = await self._dispatch(
-                        method, path, headers, body
-                    )
+                    status, payload, extra = await self._dispatch(request)
+                    connection = request.headers.get("connection", "")
                     keep_alive = (
-                        headers.get("connection", "").lower() != "close"
-                        and not self._draining
+                        connection.lower() != "close" and not self._draining
                     )
                 data = (
                     payload
@@ -202,7 +379,7 @@ class BaseAsyncHttpServer:
             asyncio.IncompleteReadError,
             ConnectionResetError,
             BrokenPipeError,
-            ValueError,  # malformed request line / headers
+            ValueError,  # request line or header over the read limit
         ):
             pass  # client went away or spoke garbage; just close
         finally:
@@ -215,10 +392,10 @@ class BaseAsyncHttpServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """Parse one HTTP/1.1 request; ``None`` on a clean EOF.  An
-        oversized body is left unread and signalled with the
-        :data:`_BODY_TOO_LARGE` sentinel (answered 413 upstream)."""
+    ) -> Request | None:
+        """Parse one HTTP/1.1 request; ``None`` on a clean EOF.  A body
+        that is too large or has a malformed length is left unread and
+        raised as a :class:`ProtocolError` (413 or 400)."""
         line = await reader.readline()
         if not line:
             return None
@@ -233,19 +410,173 @@ class BaseAsyncHttpServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ProtocolError(
+                "invalid_request", f"malformed Content-Length {declared!r}"
+            )
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            return method, path, headers, _BODY_TOO_LARGE
+            raise ProtocolError(
+                "payload_too_large",
+                f"request body exceeds {MAX_BODY_BYTES} bytes",
+                status=413,
+            )
         body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+        endpoint = _endpoint_label(method, path)
+        return Request(method, path, headers, body, endpoint)
 
 
-def _base_error(code: str, message: str) -> dict:
-    # Local renderer: http_base must not import the protocol module
-    # (the gateway reuses this loop without the worker's schema).
-    from repro.server.protocol import PROTOCOL_VERSION
+class LatencyHistogram:
+    """Fixed-bucket latency histogram with bucket-bound percentiles."""
 
-    return {"v": PROTOCOL_VERSION, "error": {"code": code, "message": message}}
+    __slots__ = ("_counts", "_sum_ms", "_count")
+
+    def __init__(self) -> None:
+        self._counts = [0] * (len(LATENCY_BUCKETS_MS) + 1)  # guarded-by: loop
+        self._sum_ms = 0.0  # guarded-by: loop
+        self._count = 0  # guarded-by: loop
+
+    def observe(self, seconds: float) -> None:
+        ms = seconds * 1000.0
+        self._sum_ms += ms
+        self._count += 1
+        for i, bound in enumerate(LATENCY_BUCKETS_MS):
+            if ms <= bound:
+                self._counts[i] += 1
+                return
+        self._counts[-1] += 1
+
+    def percentile(self, q: float) -> float | None:
+        """Upper bound of the bucket holding the q-quantile.
+
+        ``None`` with no observations — and ``None`` when the quantile
+        falls in the +inf overflow bucket: a 10 s request must never
+        be reported as "p99 ≤ 2500 ms".  The snapshot pairs the null
+        bound with ``overflow_count`` so overload tails stay visible
+        instead of silently clamped to the last finite bound.
+        """
+        if self._count == 0:
+            return None
+        rank = q * self._count
+        seen = 0
+        for i, count in enumerate(self._counts):
+            seen += count
+            if seen >= rank and count:
+                if i < len(LATENCY_BUCKETS_MS):
+                    return LATENCY_BUCKETS_MS[i]
+                return None  # overflow bucket: no finite upper bound
+        return None
+
+    @property
+    def overflow_count(self) -> int:
+        """Observations beyond the last finite bucket bound."""
+        return self._counts[-1]
+
+    def snapshot(self) -> dict:
+        return {
+            "count": self._count,
+            "sum_ms": round(self._sum_ms, 3),
+            "mean_ms": round(self._sum_ms / self._count, 3)
+            if self._count
+            else None,
+            "p50_ms_le": self.percentile(0.50),
+            "p99_ms_le": self.percentile(0.99),
+            "overflow_count": self.overflow_count,
+            "buckets_ms": {
+                str(bound): self._counts[i]
+                for i, bound in enumerate(LATENCY_BUCKETS_MS)
+            }
+            | {"inf": self._counts[-1]},
+        }
 
 
-__all__ = ["BaseAsyncHttpServer", "MAX_BODY_BYTES"]
+class RequestMetrics:
+    """The request accounting every front keeps (event-loop-only).
+
+    Counted by endpoint label: requests, responses by status, latency
+    histograms (bucket-bound p50/p99; a percentile in the +inf
+    overflow bucket renders as ``null`` next to a non-zero
+    ``overflow_count``), 503 rejections, and the in-flight gauge.
+    Subclasses add their own counters and extend :meth:`snapshot`.
+    """
+
+    def __init__(self) -> None:
+        self._started = time.monotonic()
+        self.requests_total: dict[str, int] = {}  # guarded-by: loop
+        self.responses_total: dict[str, dict[str, int]] = {}  # guarded-by: loop
+        self.latency: dict[str, LatencyHistogram] = {}  # guarded-by: loop
+        self.rejected_total = 0  # guarded-by: loop
+        self.rejected_by_endpoint: dict[str, int] = {}  # guarded-by: loop
+        self.inflight = 0  # guarded-by: loop
+
+    def observe_request(self, endpoint: str) -> None:
+        self.requests_total[endpoint] = (
+            self.requests_total.get(endpoint, 0) + 1
+        )
+
+    def observe_response(
+        self, endpoint: str, status: int, seconds: float
+    ) -> None:
+        per_status = self.responses_total.setdefault(endpoint, {})
+        key = str(status)
+        per_status[key] = per_status.get(key, 0) + 1
+        hist = self.latency.get(endpoint)
+        if hist is None:
+            hist = self.latency[endpoint] = LatencyHistogram()
+        hist.observe(seconds)
+
+    def observe_reject(self, endpoint: str) -> None:
+        """A 503 on ``endpoint``.  The scalar ``rejected_total`` stays
+        for wire compat; the per-endpoint breakdown makes 503 pressure
+        attributable per route."""
+        self.rejected_total += 1
+        self.rejected_by_endpoint[endpoint] = (
+            self.rejected_by_endpoint.get(endpoint, 0) + 1
+        )
+
+    def snapshot(self) -> dict:
+        return {
+            "uptime_seconds": round(time.monotonic() - self._started, 3),
+            "requests_total": dict(self.requests_total),
+            "responses_total": {
+                endpoint: dict(statuses)
+                for endpoint, statuses in self.responses_total.items()
+            },
+            "rejected_total": self.rejected_total,
+            "rejected_by_endpoint": dict(self.rejected_by_endpoint),
+            "inflight": self.inflight,
+            "latency": {
+                endpoint: hist.snapshot()
+                for endpoint, hist in self.latency.items()
+            },
+        }
+
+
+def _path_parts(path: str) -> list[str]:
+    return [p for p in path.split("?")[0].split("/") if p]
+
+
+def _endpoint_label(method: str, path: str) -> str:
+    """Low-cardinality endpoint label for metrics (dataset names are
+    folded out of the label; per-dataset detail lives in each front's
+    own sections of ``/metrics``)."""
+    parts = _path_parts(path)
+    if parts == ["healthz"] or parts == ["metrics"]:
+        return f"{method} /{parts[0]}"
+    if parts[:2] == ["v1", "datasets"]:
+        if len(parts) == 2:
+            return "GET /v1/datasets"
+        return "POST /v1/datasets/{name}/delays"
+    if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
+        return f"POST /v1/{{name}}/{parts[2]}"
+    return f"{method} <unmatched>"
+
+
+def _require_method(method: str, expected: str) -> None:
+    if method != expected:
+        raise ProtocolError(
+            "method_not_allowed",
+            f"use {expected} for this endpoint, not {method}",
+            status=405,
+        )

@@ -47,6 +47,7 @@ usable by the server, by clients, and by tests.
 
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from typing import Sequence, TypeVar
@@ -119,10 +120,37 @@ class ProtocolError(Exception):
         self.status = status
 
     def payload(self) -> dict:
-        error: dict = {"code": self.code, "message": self.message}
-        if self.field is not None:
-            error["field"] = self.field
-        return {"v": PROTOCOL_VERSION, "error": error}
+        return error_payload(self.code, self.message, field=self.field)
+
+
+def parse_body(body: bytes) -> object:
+    """Decode a request body as JSON; an empty or malformed body is a
+    :class:`ProtocolError`."""
+    if not body:
+        raise ProtocolError("invalid_request", "request body is empty")
+    try:
+        return json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(
+            "invalid_json", f"request body is not valid JSON: {exc}"
+        ) from None
+
+
+def error_payload(
+    code: str,
+    message: str,
+    *,
+    field: str | None = None,
+    retriable: bool = False,
+) -> dict:
+    """The error envelope every front answers with (module doc);
+    ``retriable`` marks the 503/502s a client should retry."""
+    error: dict = {"code": code, "message": message}
+    if field is not None:
+        error["field"] = field
+    if retriable:
+        error["retriable"] = True
+    return {"v": PROTOCOL_VERSION, "error": error}
 
 
 # ---------------------------------------------------------------------------

@@ -744,27 +744,26 @@ class TransitService:
     def _wrap_journey(
         self, req: JourneyRequest, res: StationToStationResult
     ) -> JourneyResult:
+        legs = None
+        arrival = None
+        legs_seconds = 0.0
+        if req.departure is not None:
+            t0 = time.perf_counter()
+            legs, arrival = self._recon_legs(
+                req.source, req.target, req.departure
+            )
+            legs_seconds = time.perf_counter() - t0
         stats = QueryStats(
             kind="journey",
             kernel=self.config.kernel,
             num_threads=self.config.num_threads,
             settled_connections=res.settled_connections,
             simulated_seconds=res.simulated_time,
-            total_seconds=res.total_time,
+            total_seconds=res.total_time + legs_seconds,
             classification=res.classification,
             table_prunes=res.table_prunes,
             connection_stops=res.connection_stops,
         )
-        legs = None
-        arrival = None
-        if req.departure is not None:
-            legs, arrival = reconstruct_legs(
-                self.prepared.graph,
-                req.source,
-                req.target,
-                req.departure,
-                queue=self.config.queue,
-            )
         return JourneyResult(
             source=req.source,
             target=req.target,

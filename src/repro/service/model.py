@@ -185,7 +185,7 @@ class QueryStats:
 
     ``simulated_seconds`` is the paper's simulated-cores wall clock
     (slowest thread + merge); ``total_seconds`` the real wall clock of
-    the call.  ``classification`` is set for journeys only (trivial /
+    the call, leg reconstruction included.  ``classification`` is set for journeys only (trivial /
     table / local / global); the pruning counters are non-zero only
     when a distance table participated.  ``cache_hit`` is ``True`` when
     the answer was served from the service's

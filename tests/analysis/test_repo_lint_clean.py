@@ -61,6 +61,7 @@ def test_guard_annotations_are_seeded_where_the_issue_requires():
     expected = {
         "src/repro/service/cache.py": "_lock",
         "src/repro/server/registry.py": "_swap_lock",
+        "src/repro/server/http_base.py": "loop",
         "src/repro/server/metrics.py": "loop",
         "src/repro/fleet/metrics.py": "loop",
         "src/repro/fleet/supervisor.py": "_lock",

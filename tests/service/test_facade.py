@@ -377,3 +377,39 @@ def test_batch_profile_requests_honor_thread_override(oahu_tiny):
     np.testing.assert_array_equal(
         batched.raw.merged.labels, single.raw.merged.labels
     )
+
+
+def test_journey_total_seconds_includes_leg_reconstruction(
+    oahu_tiny, monkeypatch
+):
+    """``QueryStats.total_seconds`` is the whole journey call: a slow
+    leg reconstruction shows in it, on the single and the grouped
+    path alike."""
+    import time
+
+    from repro.service import facade
+
+    delay = 0.2
+    real = facade.reconstruct_legs
+    calls = []
+
+    def slow_reconstruct_legs(*args, **kwargs):
+        calls.append(args)
+        time.sleep(delay)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(facade, "reconstruct_legs", slow_reconstruct_legs)
+    service = TransitService(
+        oahu_tiny,
+        ServiceConfig(
+            kernel="flat", use_distance_table=True, transfer_fraction=0.3
+        ),
+    )
+    single = service.journey(0, 5, departure=480)
+    assert len(calls) == 1
+    assert single.stats.total_seconds >= delay
+    (grouped,) = service.journey_many([JourneyRequest(2, 7, departure=480)])
+    assert len(calls) == 2
+    assert grouped.stats.total_seconds >= delay
+    service.journey(1, 6)
+    assert len(calls) == 2, "no departure, no reconstruction"
