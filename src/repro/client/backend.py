@@ -58,6 +58,7 @@ from repro.server.protocol import (
     encode_multicriteria,
     encode_profile,
     encode_via,
+    error_payload,
     parse_batch_request,
     parse_delay_request,
     parse_journey_request,
@@ -407,13 +408,7 @@ class LocalBackend:
                 # validation the wire layer cannot see (e.g. from_stop
                 # past the train's run): a typed 400.
                 raise error_from_payload(
-                    400,
-                    {
-                        "error": {
-                            "code": "invalid_request",
-                            "message": str(exc),
-                        }
-                    },
+                    400, error_payload("invalid_request", str(exc))
                 ) from None
             elapsed = time.perf_counter() - t0
             self._service = new

@@ -62,7 +62,7 @@ from repro.client.results import (
     decode_profile,
     decode_via,
 )
-from repro.server.protocol import PROTOCOL_VERSION
+from repro.server.protocol import PROTOCOL_VERSION, error_payload
 from repro.service.model import (
     BatchRequest,
     JourneyRequest,
@@ -378,13 +378,10 @@ class HttpBackend:
                 return entry
         raise error_from_payload(
             404,
-            {
-                "error": {
-                    "code": "unknown_dataset",
-                    "message": f"dataset {self.dataset!r} is not served "
-                    f"by {self.base_url}",
-                }
-            },
+            error_payload(
+                "unknown_dataset",
+                f"dataset {self.dataset!r} is not served by {self.base_url}",
+            ),
         )
 
     def server_metrics(self) -> dict:

@@ -52,7 +52,7 @@ from repro.fleet.catchup import coalesce_delay_log
 from repro.fleet.metrics import GatewayMetrics
 from repro.fleet.swap import FleetSwapCoordinator
 from repro.server.http_base import BaseAsyncHttpServer, Request
-from repro.server.protocol import PROTOCOL_VERSION, ProtocolError, parse_body
+from repro.server.protocol import ProtocolError, parse_body
 
 __all__ = ["FleetGateway", "WorkerState"]
 
@@ -263,7 +263,7 @@ class FleetGateway(BaseAsyncHttpServer):
     # -- forwarding -----------------------------------------------------
 
     async def _list_datasets(self, request: Request) -> tuple:
-        return await self._admitted(request, self._proxy, None, request)
+        return await self._admitted(request, self._proxy, None)
 
     async def _handle_query(
         self, request: Request, dataset: str, shape: str
@@ -277,11 +277,11 @@ class FleetGateway(BaseAsyncHttpServer):
             self._dataset_inflight.get(dataset, 0) + 1
         )
         try:
-            return await self._proxy(dataset, request)
+            return await self._proxy(request, dataset)
         finally:
             self._dataset_inflight[dataset] -= 1
 
-    async def _proxy(self, dataset: str | None, request: Request) -> tuple:
+    async def _proxy(self, request: Request, dataset: str | None) -> tuple:
         forward_headers = None
         attempt_header = request.headers.get("x-retry-attempt")
         if attempt_header is not None:
@@ -582,9 +582,6 @@ class FleetGateway(BaseAsyncHttpServer):
             if st.state == "healthy":
                 datasets.update(st.datasets)
         return {
-            "v": PROTOCOL_VERSION,
-            "status": self.health_status,
-            "ready": self.health_status == "ok",
             "role": self.role,
             "datasets": sorted(datasets),
             "generations": {
@@ -617,7 +614,6 @@ class FleetGateway(BaseAsyncHttpServer):
             [snap for snap in workers.values() if snap is not None]
         )
         return {
-            "v": PROTOCOL_VERSION,
             "gateway": self.metrics.snapshot(),
             "workers": dict(sorted(workers.items())),
             "fleet": fleet,

@@ -138,9 +138,6 @@ class TransitServer(BaseAsyncHttpServer):
 
     def _healthz_payload(self) -> dict:
         return {
-            "v": PROTOCOL_VERSION,
-            "status": self.health_status,
-            "ready": self.health_status == "ok",
             "datasets": self.registry.names(),
             "generations": {
                 entry.name: entry.generation
@@ -149,7 +146,7 @@ class TransitServer(BaseAsyncHttpServer):
         }
 
     async def _metrics_payload(self) -> dict:
-        return {"v": PROTOCOL_VERSION, **self.metrics.snapshot(self.registry)}
+        return self.metrics.snapshot(self.registry)
 
     async def _list_datasets(self, request: Request) -> tuple:
         return 200, {

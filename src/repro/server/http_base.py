@@ -19,9 +19,11 @@ gateway (:class:`~repro.fleet.gateway.FleetGateway`) answer alike
 * the request metrics (:class:`RequestMetrics`), counted per endpoint
   label.
 
-A front supplies its payloads and handlers (``_healthz_payload``,
-``_metrics_payload``, ``_list_datasets``, ``_handle_delays``,
-``_handle_query``), which return ``(status, payload)`` or ``(status,
+A front supplies its own parts of the ``/healthz`` and ``/metrics``
+documents (``_healthz_payload``, ``_metrics_payload``; the front adds
+the protocol version and the readiness fields) and its handlers
+(``_list_datasets``, ``_handle_delays``, ``_handle_query``), which
+return ``(status, payload)`` or ``(status,
 payload, extra headers)``.  A payload is a JSON-safe dict (serialized
 here) or pre-encoded ``bytes`` (written verbatim; the gateway forwards
 worker answers byte-for-byte this way).
@@ -48,7 +50,12 @@ import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable
 
-from repro.server.protocol import QUERY_SHAPES, ProtocolError, error_payload
+from repro.server.protocol import (
+    PROTOCOL_VERSION,
+    QUERY_SHAPES,
+    ProtocolError,
+    error_payload,
+)
 
 __all__ = [
     "LATENCY_BUCKETS_MS",
@@ -232,10 +239,17 @@ class BaseAsyncHttpServer:
         parts = _path_parts(request.path)
         if parts == ["healthz"]:
             _require_method(method, "GET")
-            return 200, self._healthz_payload()
+            status = self.health_status
+            return 200, {
+                "v": PROTOCOL_VERSION,
+                "status": status,
+                "ready": status == "ok",
+                **self._healthz_payload(),
+            }
         if parts == ["metrics"]:
             _require_method(method, "GET")
-            return 200, await self._metrics_payload()
+            metrics = await self._metrics_payload()
+            return 200, {"v": PROTOCOL_VERSION, **metrics}
         if parts == ["v1", "datasets"]:
             _require_method(method, "GET")
             return await self._list_datasets(request)
@@ -246,12 +260,12 @@ class BaseAsyncHttpServer:
         ):
             _require_method(method, "POST")
             return await self._admitted(
-                request, self._handle_delays, request, parts[2]
+                request, self._handle_delays, parts[2]
             )
         if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
             _require_method(method, "POST")
             return await self._admitted(
-                request, self._handle_query, request, parts[1], parts[2]
+                request, self._handle_query, parts[1], parts[2]
             )
         raise ProtocolError(
             "unknown_route",
@@ -283,8 +297,8 @@ class BaseAsyncHttpServer:
     async def _admitted(
         self, request: Request, handler: Callable[..., Awaitable[tuple]], *args
     ) -> tuple:
-        """Run ``handler(*args)`` as one admitted in-flight request, or
-        answer a fast 503 instead of queueing.  Unreadiness
+        """Run ``handler(request, *args)`` as one admitted in-flight
+        request, or answer a fast 503 instead of queueing.  Unreadiness
         (``begin_drain``) does *not* reject — the grace window exists
         precisely so requests still in flight from a router that has
         not yet noticed keep succeeding.  Nothing awaits between the
@@ -305,7 +319,7 @@ class BaseAsyncHttpServer:
         self._inflight += 1
         self.metrics.inflight = self._inflight
         try:
-            return await handler(*args)
+            return await handler(request, *args)
         finally:
             self._inflight -= 1
             self.metrics.inflight = self._inflight
