@@ -263,7 +263,7 @@ class FleetGateway(BaseAsyncHttpServer):
     # -- forwarding -----------------------------------------------------
 
     async def _list_datasets(self, request: Request) -> tuple:
-        return await self._admitted(request, self._proxy, None)
+        return await self._admit(request, self._proxy, None)
 
     async def _handle_query(
         self, request: Request, dataset: str, shape: str

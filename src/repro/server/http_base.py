@@ -11,7 +11,7 @@ gateway (:class:`~repro.fleet.gateway.FleetGateway`) answer alike
   connection closes), response writing;
 * the routes and their methods (:meth:`_route`): unknown paths are
   404 ``unknown_route``, a wrong method is 405 ``method_not_allowed``;
-* bounded admission of delay posts and queries (:meth:`_admitted`):
+* bounded admission of delay posts and queries (:meth:`_admit`):
   past ``max_inflight``, or once draining, a fast retriable 503 with
   a ``Retry-After`` hint;
 * the error envelope (:func:`~repro.server.protocol.error_payload`)
@@ -259,12 +259,12 @@ class BaseAsyncHttpServer:
             and parts[3] == "delays"
         ):
             _require_method(method, "POST")
-            return await self._admitted(
+            return await self._admit(
                 request, self._handle_delays, parts[2]
             )
         if len(parts) == 3 and parts[0] == "v1" and parts[2] in QUERY_SHAPES:
             _require_method(method, "POST")
-            return await self._admitted(
+            return await self._admit(
                 request, self._handle_query, parts[1], parts[2]
             )
         raise ProtocolError(
@@ -294,7 +294,7 @@ class BaseAsyncHttpServer:
 
     # -- admission ------------------------------------------------------
 
-    async def _admitted(
+    async def _admit(
         self, request: Request, handler: Callable[..., Awaitable[tuple]], *args
     ) -> tuple:
         """Run ``handler(request, *args)`` as one admitted in-flight
