@@ -665,4 +665,3 @@ def _aggregate(snapshots: list[dict]) -> dict:
             "batched_queries_total": micro_batched,
         },
     }
-

@@ -314,4 +314,3 @@ class FleetSwapCoordinator:
             gw._eject(st, reason=f"{type(exc).__name__}: {exc}")
             return gw._retriable(502, "upstream_failed", str(exc))
         return gw._relay(status, headers, raw)
-
